@@ -19,6 +19,7 @@ from .gram import is_gram_pair, convertibility
 from .matrix_core import (
     BinaryMatrix,
     MatrixFormatError,
+    _parse_entries,
     load_matrix,
     rank_exact,
     save_matrix,
@@ -59,26 +60,10 @@ def _load_binary(path) -> BinaryMatrix:
 
 
 def _load_gram(path) -> np.ndarray:
-    """Gram matrices have entries beyond {-1,0,1}, so they get their own
-    reader for the same line format."""
+    """Gram matrices have entries beyond {-1,0,1}: the .mtxt grammar with
+    any integer entries."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise MatrixFormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MatrixFormatError(f"malformed dimension line: {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise MatrixFormatError(f"expected {rows} rows, found {len(lines) - 1}")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != cols:
-            raise MatrixFormatError(f"row length mismatch: {ln!r}")
-        out.append([int(p) for p in parts])
-    return np.array(out, dtype=np.int64)
+        return _parse_entries(fh.read())
 
 
 def _emit_json(payload: dict) -> None:
@@ -198,6 +183,9 @@ def cmd_gram_data(args) -> int:
         return EXIT_NO
     if r == 1:
         rep = rank1_gram_data(form)
+    elif not rank2_realizable(form):
+        print("not realizable")
+        return EXIT_NO
     elif form.mtype == "M5":
         if not args.witness:
             raise UsageError("M5 Gram data needs --witness")

@@ -1,15 +1,16 @@
 """
 Closure operations on Gram pairs: complement, direct sum, join, Kronecker
-products, and the two-block swap.  Every output is re-verified through
-is_gram_pair before it leaves this module; a combinator never hands back an
-unchecked pair.
+products, and the two-block swap.  Every output is verified exactly before
+it leaves this module: pairs through is_gram_pair, Kronecker blow-ups of a
+difference matrix through is_realizable_witness.  A combinator never hands
+back an unchecked result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gram import GramPair, is_gram_pair
+from .gram import GramPair, is_gram_pair, is_realizable_witness
 from .matrix_core import BinaryMatrix, SignedMatrix
 
 
@@ -95,7 +96,7 @@ def kron_realizable(X: BinaryMatrix, E: SignedMatrix, witness: BinaryMatrix, swa
     x = X.int64()
     if not x.any():
         raise ValueError("X must be nonzero")
-    if is_gram_pair(witness, _plus(witness, E)) is None:
+    if not is_realizable_witness(E, witness):
         raise ValueError("witness does not realize E")
     if swap:
         e_big = np.kron(E.int64(), x)
@@ -105,16 +106,9 @@ def kron_realizable(X: BinaryMatrix, E: SignedMatrix, witness: BinaryMatrix, swa
         a_big = np.kron(x, witness.int64())
     big_E = SignedMatrix(e_big.astype(np.int8))
     big_A = BinaryMatrix(a_big.astype(np.int8))
-    if is_gram_pair(big_A, _plus(big_A, big_E)) is None:
+    if not is_realizable_witness(big_E, big_A):
         raise RuntimeError("Kronecker blow-up failed Gram verification")
     return big_E, big_A
-
-
-def _plus(A: BinaryMatrix, E: SignedMatrix) -> BinaryMatrix:
-    s = A.int64() + E.int64()
-    if not np.isin(s, (0, 1)).all():
-        raise ValueError("A+E has an entry outside {0,1}")
-    return BinaryMatrix(s.astype(np.int8))
 
 
 def block_swap_pair(A1: BinaryMatrix, A2: BinaryMatrix) -> GramPair:

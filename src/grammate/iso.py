@@ -141,10 +141,6 @@ def _perm_search(groups_ok, n: int, accept, budget: _Budget):
     return None
 
 
-def _content_matchable(cols_a: list, cols_b: list) -> bool:
-    return sorted(cols_a) == sorted(cols_b)
-
-
 def is_fixable(ctx: RemainingContext, node_cap: int = DEFAULT_NODE_CAP):
     """Does some (P, Q) with Y = PYQ satisfy one of the two border cases?
 

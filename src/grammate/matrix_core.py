@@ -242,11 +242,11 @@ def apply_perms(M, P: Permutation, Q: Permutation):
     return type(M)(M.data[np.ix_(pinv, qinv)])
 
 
-def parse_matrix(text: str):
-    """Parse .mtxt text into a BinaryMatrix or SignedMatrix.
+def _parse_entries(text: str) -> np.ndarray:
+    """The entries of .mtxt text as an int64 array, any integers allowed.
 
-    Returns a BinaryMatrix when all entries are in {0,1}, otherwise a
-    SignedMatrix.  Lines starting with '#' are comments.
+    Checks the dimension line, the row count and the row lengths.  Lines
+    starting with '#' are comments.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -267,17 +267,25 @@ def parse_matrix(text: str):
         parts = ln.split()
         if len(parts) != cols:
             raise MatrixFormatError(f"row length mismatch: {ln!r}")
-        row = []
-        for p in parts:
-            try:
-                v = int(p)
-            except ValueError:
-                raise MatrixFormatError(f"entry out of range: {p!r}") from None
-            if v not in (-1, 0, 1):
-                raise MatrixFormatError(f"entry out of range: {p!r}")
-            row.append(v)
-        entries.append(row)
-    a = np.array(entries, dtype=np.int8)
+        try:
+            entries.append([int(p) for p in parts])
+        except ValueError:
+            raise MatrixFormatError(f"non-integer entry in row: {ln!r}") from None
+    try:
+        return np.array(entries, dtype=np.int64)
+    except OverflowError:
+        raise MatrixFormatError("entry out of the int64 range") from None
+
+
+def parse_matrix(text: str):
+    """Parse .mtxt text into a BinaryMatrix or SignedMatrix.
+
+    Returns a BinaryMatrix when all entries are in {0,1}, otherwise a
+    SignedMatrix.  Lines starting with '#' are comments.
+    """
+    a = _parse_entries(text)
+    if not _in_range(a, -1, 1):
+        raise MatrixFormatError(f"entry out of range: {int(a[(a < -1) | (a > 1)][0])}")
     if (a >= 0).all():
         return BinaryMatrix(a)
     return SignedMatrix(a)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import BinaryMatrix
+from .matrix_core import BinaryMatrix, _in_range
 
 DEFAULT_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-8
@@ -186,7 +186,7 @@ def round_to_binary(B, tol: float | None = None):
     rounded = np.rint(b)
     if np.abs(b - rounded).max() > t:
         return None
-    if not np.isin(rounded, (0.0, 1.0)).all():
+    if not _in_range(rounded, 0, 1):
         return None
     return BinaryMatrix(rounded.astype(np.int8))
 

@@ -7,9 +7,7 @@ harness that replays the library's invariants against enumerated corpora.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,34 +67,18 @@ def enumerate_gram_pairs(
     rfilt = tuple(row_sums_filter) if row_sums_filter is not None else None
     cfilt = tuple(col_sums_filter) if col_sums_filter is not None else None
 
-    def scan(codes: range) -> dict[bytes, list[int]]:
-        groups: dict[bytes, list[int]] = {}
-        for code in codes:
-            a = _decode(code, m, n).astype(np.int64)
-            if rfilt is not None and tuple(int(x) for x in a.sum(axis=1)) != rfilt:
-                continue
-            if cfilt is not None and tuple(int(x) for x in a.sum(axis=0)) != cfilt:
-                continue
-            groups.setdefault(_fingerprint(a), []).append(code)
-        return groups
-
-    total = 1 << (m * n)
-    workers = max(1, int(os.environ.get("GRAMMATE_THREADS", "1")))
-    chunks = [range(lo, min(lo + (total // max(1, workers * 4)) + 1, total)) for lo in
-              range(0, total, (total // max(1, workers * 4)) + 1)]
-    merged: dict[bytes, list[int]] = {}
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan, chunks))
-    else:
-        parts = [scan(c) for c in chunks]
-    for part in parts:
-        for key, codes in part.items():
-            merged.setdefault(key, []).extend(codes)
+    # codes are scanned in increasing order, so every group list is sorted
+    groups: dict[bytes, list[int]] = {}
+    for code in range(1 << (m * n)):
+        a = _decode(code, m, n).astype(np.int64)
+        if rfilt is not None and tuple(int(x) for x in a.sum(axis=1)) != rfilt:
+            continue
+        if cfilt is not None and tuple(int(x) for x in a.sum(axis=0)) != cfilt:
+            continue
+        groups.setdefault(_fingerprint(a), []).append(code)
 
     out: list[tuple[int, int, GramPair]] = []
-    for codes in merged.values():
-        codes.sort()
+    for codes in groups.values():
         for i, j in itertools.combinations(range(len(codes)), 2):
             A = BinaryMatrix(_decode(codes[i], m, n))
             B = BinaryMatrix(_decode(codes[j], m, n))

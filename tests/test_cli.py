@@ -190,6 +190,14 @@ class TestGramData:
                                          a=4, b=3, c=3, d=4, e=1, f=2))
         assert cli(capsys, "gram-data", pe, "--witness", pa) == (3, "not convertible\n")
 
+    def test_not_realizable_agrees_with_classify(self, capsys, tmp_path):
+        # an M4 form with a=0 whose e-f and g-h parities rule out a witness
+        p = tmp_path / "E.mtxt"
+        p.write_text("5 4\n1 -1 0 0\n0 0 1 -1\n-1 1 -1 1\n1 -1 -1 1\n-1 1 1 -1\n")
+        for argv in (["classify"], ["complete"], ["gram-data"], ["gram-data", "--json"]):
+            code, out = cli(capsys, *argv, str(p))
+            assert code == 3 and out.endswith("not realizable\n"), argv
+
 
 class TestUrs:
     def test_feasible(self, capsys):
@@ -327,3 +335,15 @@ class TestReconstruct:
         gr = self._gram(tmp_path, "gr.mtxt", a @ a.T)
         gc = self._gram(tmp_path, "gc.mtxt", 2 * (a.T @ a))
         assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (3, "none\n")
+
+    @pytest.mark.parametrize("text", ["3 3\n2 1 0\n1 2.5 1\n0 1 1\n",
+                                      "3 three\n2 1 0\n1 2 1\n0 1 1\n",
+                                      "3 3\n2 1 0\n1 99999999999999999999 1\n0 1 1\n"])
+    def test_malformed_gram_is_usage_error(self, capsys, tmp_path, text):
+        a = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        gr = tmp_path / "gr.mtxt"
+        gr.write_text(text)
+        gc = self._gram(tmp_path, "gc.mtxt", a.T @ a)
+        assert run(["reconstruct", "--grow", str(gr), "--gcol", gc]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

@@ -161,6 +161,7 @@ class TestMtxtFormat:
             "2 2\n1 1\n1 x",
             "1 1\n1\n1",
             "0 2\n",
+            "1 1\n99999999999999999999\n",
         ],
     )
     def test_malformed(self, bad):

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from grammate.gram import is_gram_pair
+from grammate.gram import is_gram_pair, is_realizable_witness
 from grammate.matrix_core import (
     BinaryMatrix,
     Permutation,
     SignedMatrix,
     apply_perms,
+    serialize_matrix,
 )
 from grammate.numerics import svd
 from grammate.rank_forms import (
+    M_INDEX_NAMES,
     NotConvertibleError,
     NotRealizableError,
     Rank2Form,
@@ -347,6 +349,88 @@ class TestRank2WitnessCheck:
         a = A.int64().copy()
         a[-1, 0] ^= 1  # padding row entry against a signed column
         assert not rank2_witness_check(BinaryMatrix(a.astype(np.int8)), f)
+
+    def test_m2_free_blocks_with_opposite_signed_sums(self):
+        # a witness whose free blocks do not have the fixed block sums of
+        # the completed witness
+        f = form_of("M2", k=1, l=1, e=1, f=1, g=1, h=1)
+        A = BinaryMatrix([[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0]])
+        assert is_realizable_witness(reconstruct_E(f), A)
+        assert rank2_witness_check(A, f)
+
+
+# forms with at most 10 zero cells in E, so at most 1024 candidate witnesses,
+# padded and transposed ones among them:
+# (form tag, nonzero indices, (pad_rows, pad_cols), classify the transpose)
+CROSS_CHECK_RANK1 = [(1, 1, 0, 0), (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 0, 2)]
+CROSS_CHECK_RANK2 = [
+    ("M1", dict(k=1, l=1, a=1, b=1), (1, 1), False),
+    ("M1", dict(k=1, l=1, a=1, b=2), (1, 0), False),
+    ("M2", dict(k=1, l=1, e=1, f=1, g=1, h=1), (0, 0), False),
+    ("M3", dict(k=1, l=1, c=1, d=1, e=2), (0, 0), True),
+    ("M3", dict(k=1, l=1, b=1, c=1, e=1, f=1), (1, 0), False),
+    ("M4", dict(k=1, l=1, d=2, e=2, g=2), (0, 0), True),
+    ("M5", dict(l=1, p=1, r=1, b=1, c=1, e=1), (1, 1), False),
+    ("M5", dict(l=1, p=1, r=1, b=2, c=2, e=2), (0, 0), False),
+]
+
+
+def _relabeled(e, rng):
+    return SignedMatrix(e[rng.permutation(e.shape[0])][:, rng.permutation(e.shape[1])])
+
+
+def _fillings(E):
+    """Every A with A+E in {0,1}: forced on E's support, free on its zeros."""
+    e = E.int64()
+    free = np.argwhere(e == 0)
+    assert len(free) <= 10
+    base = (e == -1).astype(np.int8)
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        a = base.copy()
+        a[free[:, 0], free[:, 1]] = bits
+        yield BinaryMatrix(a)
+
+
+def _cross_check(E, check) -> set:
+    """Assert check(A) equals the Gram oracle on every filling; the verdicts seen."""
+    seen = set()
+    for A in _fillings(E):
+        verdict = check(A)
+        assert verdict == is_realizable_witness(E, A), serialize_matrix(A)
+        seen.add(verdict)
+    return seen
+
+
+class TestWitnessCheckMatchesOracle:
+    """The fast witness checks agree with the exact Gram oracle on every
+    candidate witness of small forms, and each form type shows both verdicts."""
+
+    def test_rank1(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for k1, k2, pr, pc in CROSS_CHECK_RANK1:
+            E = _relabeled(canonical_rank1_E(k1, k2, pr, pc).int64(), rng)
+            form = classify_rank1(E)
+            seen |= _cross_check(E, lambda A: rank1_witness_check(A, form))
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("mtype", ["M1", "M2", "M3", "M4", "M5"])
+    def test_rank2(self, mtype):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for tag, idx, (pr, pc), transpose in CROSS_CHECK_RANK2:
+            if tag != mtype:
+                continue
+            full = dict.fromkeys(M_INDEX_NAMES[tag], 0) | idx
+            e = canonical_rank2_E(tag, full, pr, pc).int64()
+            E = _relabeled(e.T if transpose else e, rng)
+            form = classify_rank2(E)
+            assert (form.mtype, form.transposed) == (tag, transpose)
+            if mtype == "M5":
+                seen |= _cross_check(E, lambda A: rank2_witness_check(A, form)[0])
+            else:
+                seen |= _cross_check(E, lambda A: rank2_witness_check(A, form))
+        assert seen == {True, False}
 
 
 class TestRank2GramData:
