@@ -78,7 +78,8 @@ def construct_urs(R, S) -> BinaryMatrix:
         for i in rows:
             out[i, j] = 1
             residual[i] -= 1
-    assert all(x == 0 for x in residual)
+    if any(residual):
+        raise RuntimeError("Ryser fill left row sums unmet")
     return BinaryMatrix(out)
 
 
@@ -94,16 +95,14 @@ def spread_construction(R, n: int) -> BinaryMatrix:
     if any(x > n for x in r):
         raise ValueError("every row sum must be at most n")
     m = len(r)
-    total = sum(r)
-    q = total // n
     out = np.zeros((m, n), dtype=np.int8)
     pos = 0
     for i in range(m):
         for _ in range(r[i]):
             out[i, pos % n] += 1
             pos += 1
-    assert (out <= 1).all()
-    assert q * n + total % n == total
+    if (out > 1).any():
+        raise RuntimeError("spread construction put two ones in one cell")
     return BinaryMatrix(out)
 
 
@@ -200,7 +199,8 @@ def even_block(m1: int, m2: int, n1: int, n2: int) -> BinaryMatrix:
         a = _swap_row_blocks(_even_core(m2, m1, n1, n2), m2)
     h_r = (n1 - n2) // 2
     h_c = (m1 - m2) // 2
-    assert check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, h_r, h_r, h_c, h_c)
+    if not check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, h_r, h_r, h_c, h_c):
+        raise RuntimeError("even block has the wrong signed profile")
     return BinaryMatrix(a)
 
 
@@ -220,7 +220,8 @@ def proportional_block(a1, a2, b1, b2, m1, m2, n1, n2) -> BinaryMatrix:
         raise ValueError("difference hypotheses violated")
     if (n1 + n2) * (a1 + a2) != (m1 + m2) * (b1 + b2):
         raise ValueError("proportionality hypothesis violated")
-    assert m1 * b1 + m2 * b2 == n1 * a1 + n2 * a2
+    if m1 * b1 + m2 * b2 != n1 * a1 + n2 * a2:  # implied by the three hypotheses
+        raise RuntimeError("hypotheses hold but the block totals differ")
 
     if m1 * b1 < n1 * a1:
         return proportional_block(b1, b2, a1, a2, n1, n2, m1, m2).transpose()
@@ -239,5 +240,6 @@ def proportional_block(a1, a2, b1, b2, m1, m2, n1, n2) -> BinaryMatrix:
         y21 = construct_urs(r21, s_tilde).data
         y22 = construct_urs([b2 + t for t in r21], [a2] * n2).data
         a = np.block([[y11, _Z(m1, n2)], [y21, y22]])
-    assert check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, b1, -b2, a1, -a2)
+    if not check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, b1, -b2, a1, -a2):
+        raise RuntimeError("proportional block has the wrong signed profile")
     return BinaryMatrix(a)

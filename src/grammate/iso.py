@@ -1,11 +1,15 @@
 """
 Isomorphism of Gram pairs (B = PAQ), the remaining-matrix context of a
-rank-1 pair, the fixability predicate, and the involution-restricted search
-that applies when all singular values are distinct.
+rank-1 pair, the fixability predicate, and isomorphism of mates whose
+singular values are all distinct.
 
-All searches are complete backtracking with multiset pruning and an explicit
-node cap; exceeding the cap yields the string "undecided (cap)", never a
-wrong verdict.
+All three questions are one search: a complete backtracking over row maps
+in which rows and columns may carry colours that P and Q must preserve.
+Fixability colours the touched rows and columns of E; the distinct-spectrum
+case needs no colours, as every witness there is a pair of involutions (a
+theorem, not a restriction of the search).  The search has an explicit node
+cap; exceeding it yields the string "undecided (cap)", never a wrong
+verdict.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ def remaining_context(pair: GramPair) -> RemainingContext:
         raise ValueError(f"diff_rank is {pair.diff_rank}, not 1")
     d = pair.diff()
     form = classify_rank1(d)
-    assert form is not None
+    if form is None:
+        raise RuntimeError("rank-1 difference of a Gram pair has no canonical form")
     k1, k2 = form.k1, form.k2
     a = apply_perms(pair.A, form.row_perm, form.col_perm).int64()
     dd = d.int64()
@@ -93,190 +98,111 @@ def remaining_context(pair: GramPair) -> RemainingContext:
     )
 
 
-def _row_multiset(a: np.ndarray):
-    return sorted(map(tuple, a.tolist()))
+def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_colour=None):
+    """A complete search for B = PAQ with P and Q preserving the given colours.
 
-
-def _col_multiset(a: np.ndarray):
-    return sorted(map(tuple, a.T.tolist()))
-
-
-class _Budget:
-    def __init__(self, cap: int):
-        self.left = cap
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise CapExceeded
-
-
-def _perm_search(groups_ok, n: int, accept, budget: _Budget):
-    """All-purpose backtracking over bijections on {0..n-1}.
-
-    groups_ok(i, j, partial) says whether i may map to j given the partial
-    assignment; accept(perm) does the final feasibility test.  Returns the
-    first accepted permutation (as a list) or None.
+    Rows are placed one at a time, each placement one node against the cap.
+    A row of a may go to a row of b with the same (colour, Gram diagonal,
+    sorted Gram row) that agrees on the Gram matrix with every row already
+    placed; the Gram diagonal of a (0,1) matrix is its row sums.  A complete
+    row map is closed by matching columns on (colour, content).  Returns an
+    IsoWitness, NON_ISOMORPHIC or UNDECIDED.
     """
-    assign = [-1] * n
-    used = [False] * n
+    m, n = a.shape
+    row_colour = row_colour or (0,) * m
+    col_colour = col_colour or (0,) * n
+    ga, gb = (a @ a.T).tolist(), (b @ b.T).tolist()
 
-    def rec(i):
-        if i == n:
-            return accept(assign)
+    def fingerprints(g):
+        return [(row_colour[i], g[i][i], tuple(sorted(g[i]))) for i in range(m)]
+
+    fa, fb = fingerprints(ga), fingerprints(gb)
+    if sorted(fa) != sorted(fb):
+        return NON_ISOMORPHIC
+    cand = [[r for r in range(m) if fb[r] == fa[i]] for i in range(m)]
+    b_cols = [(col_colour[j], b[:, j].tobytes()) for j in range(n)]
+    rho = [-1] * m
+    used = [False] * m
+    left = node_cap
+
+    def close():
+        """A column map for the complete row map rho, as a witness, or None."""
+        t = np.empty_like(a)
+        t[rho, :] = a
+        pool: dict[tuple, list[int]] = {}
+        for j in range(n - 1, -1, -1):
+            pool.setdefault(b_cols[j], []).append(j)
+        gamma = []
         for j in range(n):
-            if used[j] or not groups_ok(i, j, assign):
-                continue
-            budget.spend()
-            assign[i] = j
-            used[j] = True
-            if rec(i + 1):
-                return True
-            assign[i] = -1
-            used[j] = False
-        return False
+            js = pool.get((col_colour[j], t[:, j].tobytes()))
+            if not js:
+                return None
+            gamma.append(js.pop())
+        P = Permutation(tuple(rho))
+        Q = Permutation(tuple(gamma)).inverse()
+        if not (P.matrix().int64() @ a @ Q.matrix().int64() == b).all():
+            raise RuntimeError("isomorphism witness does not map A to B")
+        return IsoWitness(P=P, Q=Q)
 
-    if rec(0):
-        return list(assign)
-    return None
+    def place(i):
+        nonlocal left
+        if i == m:
+            return close()
+        gi = ga[i]
+        for r in cand[i]:
+            if used[r]:
+                continue
+            gr = gb[r]
+            if any(gr[rho[i2]] != gi[i2] for i2 in range(i)):
+                continue
+            left -= 1
+            if left < 0:
+                raise CapExceeded
+            rho[i], used[r] = r, True
+            found = place(i + 1)
+            if found is not None:
+                return found
+            rho[i], used[r] = -1, False
+        return None
+
+    try:
+        found = place(0)
+    except CapExceeded:
+        return UNDECIDED
+    return NON_ISOMORPHIC if found is None else found
 
 
 def is_fixable(ctx: RemainingContext, node_cap: int = DEFAULT_NODE_CAP):
-    """Does some (P, Q) with Y = PYQ satisfy one of the two border cases?
+    """Is there an isomorphism of the two canonical matrices that fixes the border?
 
-    Case one: the X1/X2 rows swap under Q and the X3/X4 columns are each
-    preserved under P.  Case two (the transposed variant): X1/X2 rows are
-    each preserved under Q and the X3/X4 columns swap under P.
+    The search maps [[0,J,X1],[J,0,X2],[X3,X4,Y]] onto [[J,0,X1],[0,J,X2],[X3,X4,Y]]
+    with the touched rows and columns (the J blocks) kept among themselves.
+    Such a map either swaps the two touched row groups, maps the X1/X2 rows
+    onto each other and keeps the X3/X4 column groups, or the transpose of
+    that; on the untouched part it fixes Y.
     """
-    x1, x2 = ctx.X1.astype(np.int64), ctx.X2.astype(np.int64)
-    x3, x4 = ctx.X3.astype(np.int64), ctx.X4.astype(np.int64)
-    y = ctx.Y.astype(np.int64)
-    m, n = y.shape
-    budget = _Budget(node_cap)
-
-    ycols = [tuple(y[:, j]) for j in range(n)]
-    yrows = [tuple(y[i, :]) for i in range(m)]
-
-    def sigma_ok(j, jj, _):
-        # necessary for the existence of a row permutation fixing Y
-        return sorted(ycols[j]) == sorted(ycols[jj])
-
-    def pi_candidates(sigma):
-        yq = y[:, sigma]  # column j of yq is column sigma[j] of y; Y[pi(i), sigma(j)] = Y[i,j]
-        rows_of_target = [tuple(r) for r in yq.tolist()]
-        cand = [[r for r in range(m) if rows_of_target[r] == yrows[i]] for i in range(m)]
-        return cand
-
-    def try_case(swap_rows_under_q: bool):
-        # swap_rows_under_q=True: rows(X1 sigma) == rows(X2) and vice versa (case one)
-        # False: each of X1, X2 has its row multiset preserved by sigma (case two)
-        def sigma_accept(sigma):
-            x1s = x1[:, sigma]
-            x2s = x2[:, sigma]
-            if swap_rows_under_q:
-                if _row_multiset(x1s) != _row_multiset(x2) or _row_multiset(x2s) != _row_multiset(x1):
-                    return False
-            else:
-                if _row_multiset(x1s) != _row_multiset(x1) or _row_multiset(x2s) != _row_multiset(x2):
-                    return False
-            cand = pi_candidates(sigma)
-            if any(not c for c in cand):
-                return False
-
-            def pi_ok(i, r, _partial):
-                return r in cand[i]
-
-            def pi_accept(pi):
-                x3p = x3[pi, :]  # column c of P X3 has entries X3[i, c] at row pi(i)
-                x4p = x4[pi, :]
-                if swap_rows_under_q:
-                    return (
-                        _col_multiset(x3p) == _col_multiset(x3)
-                        and _col_multiset(x4p) == _col_multiset(x4)
-                    )
-                return (
-                    _col_multiset(x3p) == _col_multiset(x4)
-                    and _col_multiset(x4p) == _col_multiset(x3)
-                )
-
-            return _perm_search(pi_ok, m, pi_accept, budget) is not None
-
-        return _perm_search(sigma_ok, n, sigma_accept, budget) is not None
-
-    try:
-        return try_case(True) or try_case(False)
-    except CapExceeded:
+    k1, k2 = ctx.k1, ctx.k2
+    m, n = 2 * k1 + ctx.Y.shape[0], 2 * k2 + ctx.Y.shape[1]
+    m0 = np.zeros((m, n), dtype=np.int64)
+    m0[:2 * k1, 2 * k2:] = np.vstack([ctx.X1, ctx.X2])
+    m0[2 * k1:, :2 * k2] = np.hstack([ctx.X3, ctx.X4])
+    m0[2 * k1:, 2 * k2:] = ctx.Y
+    m1 = m0.copy()
+    m0[:k1, k2:2 * k2] = m0[k1:2 * k1, :k2] = 1
+    m1[:k1, :k2] = m1[k1:2 * k1, k2:2 * k2] = 1
+    verdict = _search(m0, m1, node_cap,
+                      row_colour=[int(i >= 2 * k1) for i in range(m)],
+                      col_colour=[int(j >= 2 * k2) for j in range(n)])
+    if verdict == UNDECIDED:
         return UNDECIDED
-
-
-def _row_fingerprints(a: np.ndarray):
-    g = a @ a.T
-    return [
-        (int(a[i].sum()), int(g[i, i]), tuple(sorted(g[i].tolist())))
-        for i in range(a.shape[0])
-    ]
-
-
-def _column_match(a_rows_mapped: np.ndarray, b: np.ndarray):
-    """A column bijection gamma with b[:, gamma(j)] == mapped column j, or None."""
-    n = a_rows_mapped.shape[1]
-    cols_a = [tuple(a_rows_mapped[:, j]) for j in range(n)]
-    cols_b = [tuple(b[:, j]) for j in range(n)]
-    if sorted(cols_a) != sorted(cols_b):
-        return None
-    pool: dict[tuple, list[int]] = {}
-    for j in range(n - 1, -1, -1):
-        pool.setdefault(cols_b[j], []).append(j)
-    gamma = [pool[c].pop() for c in cols_a]
-    return gamma
+    return isinstance(verdict, IsoWitness)
 
 
 def are_isomorphic(A: BinaryMatrix, B: BinaryMatrix, node_cap: int = DEFAULT_NODE_CAP):
-    """A complete search for B = PAQ.
-
-    Rows are matched under (row sum, Gram diagonal, Gram row multiset)
-    classes with pairwise Gram consistency pruning; a complete row map is
-    closed by exact column-content matching.
-    """
+    """A complete search for B = PAQ: an IsoWitness, NON_ISOMORPHIC or UNDECIDED."""
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    a, b = A.int64(), B.int64()
-    m = a.shape[0]
-    fa, fb = _row_fingerprints(a), _row_fingerprints(b)
-    if sorted(fa) != sorted(fb):
-        return NON_ISOMORPHIC
-    ga, gb = a @ a.T, b @ b.T
-    budget = _Budget(node_cap)
-    out: dict[str, IsoWitness] = {}
-
-    def rho_ok(i, r, partial):
-        if fa[i] != fb[r]:
-            return False
-        for i2 in range(i):
-            if gb[partial[i2], r] != ga[i2, i]:
-                return False
-        return True
-
-    def accept(rho):
-        # matrix whose row rho(i) is row i of a; its columns must match b's
-        t = np.empty_like(a)
-        t[rho, :] = a
-        gamma = _column_match(t, b)
-        if gamma is None:
-            return False
-        P = Permutation(tuple(rho))
-        Q = Permutation(tuple(gamma)).inverse()
-        assert (P.matrix().int64() @ a @ Q.matrix().int64() == b).all()
-        out["w"] = IsoWitness(P=P, Q=Q)
-        return True
-
-    try:
-        found = _perm_search(rho_ok, m, accept, budget)
-    except CapExceeded:
-        return UNDECIDED
-    if found is None:
-        return NON_ISOMORPHIC
-    return out["w"]
+    return _search(A.int64(), B.int64(), node_cap)
 
 
 def iso_distinct_sv(
@@ -284,87 +210,19 @@ def iso_distinct_sv(
     rel_tol: float = DEFAULT_REL_TOL,
     node_cap: int = DEFAULT_NODE_CAP,
 ):
-    """Isomorphism search for square mates with all distinct singular values.
+    """Isomorphism of square mates with all distinct singular values.
 
-    Any isomorphism between such mates uses permutations whose cycles have
-    length at most two, so the search runs over involutions only.
+    B = PAQ for mates means P commutes with AA^T and Q with A^TA.  With
+    distinct singular values every eigenspace of both is one line, which P
+    and Q map to itself up to sign, so P^2 = I and Q^2 = I: every witness
+    is a pair of involutions, and the search needs no restriction.
     """
     a, b = pair.A.int64(), pair.B.int64()
     if a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
     if not distinct_singular_values(a, rel_tol):
         raise ValueError("singular values are not all distinct")
-    m = a.shape[0]
-    fa, fb = _row_fingerprints(a), _row_fingerprints(b)
-    if sorted(fa) != sorted(fb):
-        return NON_ISOMORPHIC
-    budget = _Budget(node_cap)
-    out: dict[str, IsoWitness] = {}
-
-    ga, gb = a @ a.T, b @ b.T
-
-    def rho_ok(i, r, partial):
-        if fa[i] != fb[r]:
-            return False
-        # cycles of length at most two: an already-placed r must point back
-        if r < i and partial[r] != i:
-            return False
-        for i2 in range(i):
-            if gb[partial[i2], r] != ga[i2, i]:
-                return False
-        return True
-
-    def accept(rho):
-        if any(rho[rho[i]] != i for i in range(m)):
-            return False
-        t = np.empty_like(a)
-        t[rho, :] = a
-        gamma = _involution_column_match(t, b)
-        if gamma is None:
-            return False
-        P = Permutation(tuple(rho))
-        Q = Permutation(tuple(gamma)).inverse()
-        assert P.is_involution() and Q.is_involution()
-        assert (P.matrix().int64() @ a @ Q.matrix().int64() == b).all()
-        out["w"] = IsoWitness(P=P, Q=Q)
-        return True
-
-    try:
-        found = _perm_search(rho_ok, m, accept, budget)
-    except CapExceeded:
-        return UNDECIDED
-    if found is None:
-        return NON_ISOMORPHIC
-    return out["w"]
-
-
-def _involution_column_match(t: np.ndarray, b: np.ndarray):
-    """An involutory gamma with b[:, gamma(j)] == t[:, j], by matching."""
-    n = t.shape[1]
-    cols_t = [tuple(t[:, j]) for j in range(n)]
-    cols_b = [tuple(b[:, j]) for j in range(n)]
-    gamma = [-1] * n
-
-    def rec(j):
-        if j == n:
-            return True
-        if gamma[j] != -1:
-            return rec(j + 1)
-        for jj in range(n):
-            if gamma[jj] != -1:
-                continue
-            # gamma(j)=jj and gamma(jj)=j must both transport correctly
-            if cols_b[jj] != cols_t[j] or cols_b[j] != cols_t[jj]:
-                continue
-            gamma[j], gamma[jj] = jj, j
-            if rec(j + 1):
-                return True
-            gamma[j] = gamma[jj] = -1
-        return False
-
-    if rec(0):
-        return gamma
-    return None
+    return _search(a, b, node_cap)
 
 
 def sum_separation(A: BinaryMatrix, ctx: RemainingContext) -> bool:

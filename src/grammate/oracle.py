@@ -83,7 +83,8 @@ def enumerate_gram_pairs(
             A = BinaryMatrix(_decode(codes[i], m, n))
             B = BinaryMatrix(_decode(codes[j], m, n))
             pair = is_gram_pair(A, B)
-            assert pair is not None  # same fingerprint and distinct
+            if pair is None:  # same fingerprint and distinct
+                raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
             if diff_rank is not None and pair.diff_rank != diff_rank:
                 continue
             out.append((codes[i], codes[j], pair))

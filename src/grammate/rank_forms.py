@@ -456,7 +456,8 @@ def classify_rank2(E: SignedMatrix):
         )
         canon = canonical_rank2_E(mtype, idx, len(zr), len(zc))
         oriented = SignedMatrix(b.astype(np.int8))
-        assert apply_perms(oriented, form.row_perm, form.col_perm) == canon
+        if apply_perms(oriented, form.row_perm, form.col_perm) != canon:
+            raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
         return form
     raise FormMatchError("rank-2 zero-sum matrix matches no canonical form; not realizable")
 
@@ -515,7 +516,8 @@ def _complete_m4(k, l, a, b, c, d, e, f, g, h) -> np.ndarray:
 def _even_profile(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     """(m1+m2) x (n1+n2) block with signed row sums (n1-n2)/2 and signed
     column sums (m1-m2)/2, allowing zero sub-sizes (pair sums even)."""
-    assert (m1 + m2) % 2 == 0 and (n1 + n2) % 2 == 0
+    if (m1 + m2) % 2 or (n1 + n2) % 2:
+        raise ValueError("pair sums must be even")
     if m1 + m2 == 0 or n1 + n2 == 0:
         return _Z(m1 + m2, n1 + n2)
     if min(m1, m2, n1, n2) > 0:
@@ -674,13 +676,11 @@ def _complete_m5_search(d: dict[str, int]):
     a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
 
     def chain_range(members):
-        lo, hi = -100, 100
-        any_def = False
-        for present, (mlo, mhi) in members:
-            if present:
-                any_def = True
-                lo, hi = max(lo, mlo), min(hi, mhi)
-        return (lo, hi) if any_def else None
+        """The intersection of the present members' ranges, or None if none is present."""
+        ranges = [rng for present, rng in members if present]
+        if not ranges:
+            return None
+        return max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
 
     # value chains x1=y2=-z2 and x2=y1=-z1
     c1r = chain_range([(k > 0, (-f, e)), (q > 0, (-dd, c)), (s > 0, (-a, b))])
@@ -968,8 +968,10 @@ def _x_vectors(form: Rank2Form):
 def rank2_gram_data(form: Rank2Form, profile: Rank2WitnessProfile | None = None) -> GramSingularReport:
     """Closed-form Gram singular values and vectors.
 
-    M1-M4 pairs are always convertible.  For M5 a witness profile is
-    required and must satisfy the constant-sum convertibility criterion.
+    For M1-M4 the closed form describes the pair (A, A+E) with A the
+    witness from rank2_complete, which is convertible; other witnesses of
+    the same form need not be (an M2 one is not).  For M5 a witness profile
+    is required and must satisfy the constant-sum convertibility criterion.
     """
     d = form.as_dict()
     if form.mtype == "M5":

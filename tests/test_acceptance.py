@@ -287,6 +287,8 @@ def test_12_distinct_sv_isomorphism_equals_fixability():
         verdict = iso_distinct_sv(pair)
         fixable = is_fixable(remaining_context(pair))
         assert isinstance(verdict, IsoWitness) == (fixable is True)
+        if isinstance(verdict, IsoWitness):
+            assert verdict.P.is_involution() and verdict.Q.is_involution()
         checked += 1
     assert checked >= 50
     done()

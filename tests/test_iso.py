@@ -1,18 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from grammate import oracle
 from grammate.gram import is_gram_pair
 from grammate.iso import (
     NON_ISOMORPHIC,
     UNDECIDED,
     IsoWitness,
+    RemainingContext,
     are_isomorphic,
     is_fixable,
     iso_distinct_sv,
     remaining_context,
     sum_separation,
 )
-from grammate.matrix_core import BinaryMatrix
+from grammate.matrix_core import BinaryMatrix, Permutation
 from grammate.numerics import distinct_singular_values
 from grammate.rank_forms import canonical_rank1_E
 
@@ -158,3 +162,71 @@ class TestSumSeparation:
         ctx = remaining_context(p)
         assert sum_separation(p.A, ctx)
         assert isinstance(are_isomorphic(p.A, p.B), IsoWitness) == (is_fixable(ctx) is True)
+
+
+def _keeping(k, fixed):
+    """Every permutation of range(k), as an array row, that maps the set fixed onto itself."""
+    return np.array([p for p in itertools.permutations(range(k))
+                     if {p[i] for i in fixed} == set(fixed)])
+
+
+def _brute_force(a, b, row_fixed=(), col_fixed=()):
+    """Is b = a[p][:, q] for some row and column permutations that keep the given sets?"""
+    rows, cols = _keeping(a.shape[0], row_fixed), _keeping(a.shape[1], col_fixed)
+    return bool((a[rows[:, None, :, None], cols[None, :, None, :]] == b).all(axis=(2, 3)).any())
+
+
+class TestBruteForce:
+    """The search against every (P, Q), on every small input of a kind."""
+
+    def test_gram_pairs(self):
+        seen = 0
+        for m, n in ((3, 3), (3, 4), (4, 3)):
+            for p in oracle.enumerate_gram_pairs(m, n):
+                a, b = p.A.int64(), p.B.int64()
+                assert isinstance(are_isomorphic(p.A, p.B), IsoWitness) == _brute_force(a, b)
+                if p.diff_rank == 1:
+                    ctx = remaining_context(p)
+                    assert is_fixable(ctx) is _brute_force(a, b, ctx.alpha, ctx.beta)
+                    seen += 1
+        assert seen > 1000
+
+    def test_equal_sum_multisets(self):
+        # every Gram pair above is isomorphic; these 3x3 pairs include non-isomorphic ones
+        groups = {}
+        for bits in itertools.product((0, 1), repeat=9):
+            a = np.array(bits).reshape(3, 3)
+            groups.setdefault((tuple(sorted(a.sum(1))), tuple(sorted(a.sum(0)))), []).append(a)
+        verdicts = set()
+        for group in groups.values():
+            for a, b in itertools.combinations(group, 2):
+                truth = _brute_force(a, b)
+                w = are_isomorphic(BinaryMatrix(a), BinaryMatrix(b))
+                assert isinstance(w, IsoWitness) == truth
+                verdicts.add(truth)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k1,k2,m3,n3", [(1, 1, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2),
+                                             (1, 1, 2, 2), (2, 1, 1, 1), (1, 2, 1, 1)])
+    def test_fixable_every_context(self, k1, k2, m3, n3):
+        """Every filling of X1..X4 and Y: fixable iff some border-keeping (P, Q) maps A to B."""
+        shapes = [(k1, n3), (k1, n3), (m3, k2), (m3, k2), (m3, n3)]
+        sizes = [r * c for r, c in shapes]
+        j, z = np.ones((k1, k2), dtype=np.int64), np.zeros((k1, k2), dtype=np.int64)
+        verdicts = set()
+        for bits in itertools.product((0, 1), repeat=sum(sizes)):
+            cuts = np.cumsum([0] + sizes)
+            x1, x2, x3, x4, y = (np.array(bits[cuts[i]:cuts[i + 1]], dtype=np.int64).reshape(shapes[i])
+                                 for i in range(5))
+            a = np.block([[j, z, x1], [z, j, x2], [x3, x4, y]])
+            b = np.block([[z, j, x1], [j, z, x2], [x3, x4, y]])
+            ctx = RemainingContext(
+                alpha=tuple(range(2 * k1)), beta=tuple(range(2 * k2)), k1=k1, k2=k2,
+                X1=x1.astype(np.int8), X2=x2.astype(np.int8), X3=x3.astype(np.int8),
+                X4=x4.astype(np.int8), Y=y.astype(np.int8),
+                row_perm=Permutation.identity(2 * k1 + m3),
+                col_perm=Permutation.identity(2 * k2 + n3))
+            truth = _brute_force(a, b, ctx.alpha, ctx.beta)
+            assert is_fixable(ctx) is truth
+            verdicts.add(truth)
+        assert verdicts == {True, False}

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grammate.gram import is_gram_pair, is_realizable_witness
+from grammate.gram import convertibility, is_gram_pair, is_realizable_witness
 from grammate.matrix_core import (
     BinaryMatrix,
     Permutation,
@@ -451,6 +451,21 @@ class TestRank2GramData:
             rep = rank2_gram_data(f)
             sv = svd(canonical_rank2_E(mtype, idx).int64() * 0.5).sigma[:2]
             assert np.abs(np.array(rep.values) - sv).max() < 1e-9, (mtype, idx)
+
+    def test_m2_closed_form_describes_the_completed_pair(self):
+        f = form_of("M2", k=1, l=1, e=1, f=1, g=1, h=1)
+        e = reconstruct_E(f).int64()
+        completed = rank2_complete(f)
+        pair = is_gram_pair(completed, BinaryMatrix((completed.int64() + e).astype(np.int8)))
+        rep = convertibility(pair)
+        assert rep.convertible
+        closed = rank2_gram_data(f).values
+        assert np.abs(np.array(closed) - 1.0).max() < 1e-12
+        assert np.abs(np.array(rep.gram_singular.values) - closed).max() < 1e-9
+        # another witness of the same form gives a Gram pair that is not convertible
+        other = BinaryMatrix([[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0]])
+        pair = is_gram_pair(other, BinaryMatrix((other.int64() + e).astype(np.int8)))
+        assert pair is not None and not convertibility(pair).convertible
 
     def test_vectors_are_singular_vectors(self):
         f = form_of("M4", k=1, l=1, a=1, b=0, c=0, d=1, e=1, f=1, g=1, h=1)
