@@ -101,7 +101,10 @@ def cmd_convertible(args) -> int:
     pair = is_gram_pair(_load_binary(args.A), _load_binary(args.B))
     if pair is None:
         raise UsageError("not Gram mates")
-    rep = convertibility(pair, tol=args.tol)
+    try:
+        rep = convertibility(pair, tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     values = [] if rep.gram_singular is None else list(rep.gram_singular.values)
     if args.json:
         _emit_json({"command": "convertible", "convertible": rep.convertible,

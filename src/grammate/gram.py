@@ -11,8 +11,8 @@ cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,34 +96,32 @@ def embed_check(E_tilde: SignedMatrix, X1, X2) -> bool:
     return not (e @ x2.T).any() and not (e.T @ x1).any()
 
 
-def _independent_rows(D: np.ndarray) -> np.ndarray:
-    """An exact basis of the row space: a maximal independent subset of rows,
-    chosen by Gaussian elimination over the rationals."""
-    rows = [[Fraction(int(x)) for x in r] for r in D]
+def _row_basis(D: np.ndarray, rank: int) -> np.ndarray:
+    """The first `rank` independent rows of integer matrix D: an exact basis
+    of its row space, found by fraction-free elimination, not by any SVD."""
     chosen: list[int] = []
-    basis: list[list[Fraction]] = []
+    reduced: list[list[int]] = []
     pivots: list[int] = []
-    for idx, row in enumerate(rows):
-        r = row[:]
-        for b, p in zip(basis, pivots):
+    for idx, r in enumerate(D.tolist()):
+        for b, p in zip(reduced, pivots):
             if r[p]:
-                f = r[p] / b[p]
-                r = [x - f * y for x, y in zip(r, b)]
+                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
         p = next((j for j, x in enumerate(r) if x), None)
         if p is not None:
+            g = math.gcd(*r)
             chosen.append(idx)
-            basis.append(r)
+            reduced.append([x // g for x in r])
             pivots.append(p)
+            if len(chosen) == rank:
+                break
     return D[chosen]
 
 
-def _in_span(D: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """Residual test for v in the row space of integer matrix D."""
-    B = _independent_rows(D).astype(np.float64)
-    if B.shape[0] == 0:
-        return bool(np.abs(v).max() <= tol)
-    coef = np.linalg.solve(B @ B.T, B @ v)
-    return bool(np.abs(v - B.T @ coef).max() <= tol)
+def _span_residual(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Residual of each column of X after projection onto the row space of
+    B, whose rows are independent."""
+    b = B.astype(np.float64)
+    return X - b.T @ np.linalg.solve(b @ b.T, b @ X)
 
 
 def gram_singular_numeric(pair: GramPair, tol: float | None = None) -> GramSingularReport:
@@ -161,18 +159,16 @@ def convertibility(pair: GramPair, tol: float | None = None) -> ConvertibilityRe
         raise RuntimeError(f"integer convertibility checks disagree: {checks}")
 
     report = gram_singular_numeric(pair, tol)
-    sign_flip = True
-    right_null = True
-    left_null = True
-    af = a.astype(np.float64)
-    sf = s.astype(np.float64)
-    for sv, u, v in zip(report.values, report.left_vectors.T, report.right_vectors.T):
-        if np.abs(af @ v - sv * u).max() > t or np.abs(af.T @ u - sv * v).max() > t:
-            sign_flip = False
-        if np.abs(sf @ v).max() > t or not _in_span(d, v, t):
-            right_null = False
-        if np.abs(sf.T @ u).max() > t or not _in_span(d.T, u, t):
-            left_null = False
+    sv = np.array(report.values)
+    U, V = report.left_vectors, report.right_vectors
+
+    def small(residual: np.ndarray) -> bool:
+        return bool(np.abs(residual).max() <= t)
+
+    k = pair.diff_rank
+    sign_flip = small(a @ V - U * sv) and small(a.T @ U - V * sv)
+    right_null = small(s @ V) and small(_span_residual(_row_basis(d, k), V))
+    left_null = small(s.T @ U) and small(_span_residual(_row_basis(d.T, k), U))
     checks["sign_flip_recovers_mate"] = sign_flip
     checks["right_vectors_null"] = right_null
     checks["left_vectors_null"] = left_null

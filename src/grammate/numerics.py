@@ -3,12 +3,15 @@ Small dense singular value decomposition and its uses: flipping signs of
 singular values, distinct-spectrum detection, and reconstructing (0,1)
 matrices from their two Gram projections.
 
-The SVD is one-sided Jacobi with a fixed sweep order, so identical inputs
-produce bitwise-identical output.
+The SVD is LAPACK's, through numpy; with BLAS on one thread identical
+inputs give bitwise-identical output.  Every tolerance argument must be
+finite and positive; values below 1e-12, which rounding noise alone can
+exceed, are raised to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +20,7 @@ from .matrix_core import BinaryMatrix, _in_range
 
 DEFAULT_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-8
-
-_JACOBI_SWEEPS = 60
-_JACOBI_EPS = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps failed to converge within the iteration cap."""
+_TOL_FLOOR = 1e-12
 
 
 class DegenerateSpectrumError(ValueError):
@@ -42,9 +39,19 @@ def _as_float(A) -> np.ndarray:
     return np.array(A, dtype=np.float64)
 
 
+def _checked_tol(tol: float | None, default: float) -> float:
+    """default for None; ValueError unless tol is finite and positive; at
+    least _TOL_FLOOR."""
+    if tol is None:
+        return default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    return max(tol, _TOL_FLOOR)
+
+
 def scaled_tol(A, tol: float | None = None) -> float:
     """Absolute tolerance scaled by the max-norm of A."""
-    base = DEFAULT_TOL if tol is None else tol
+    base = _checked_tol(tol, DEFAULT_TOL)
     a = _as_float(A)
     return base * max(1.0, float(np.abs(a).max()))
 
@@ -83,83 +90,11 @@ class SignPattern:
         object.__setattr__(self, "mask", tuple(bool(b) for b in self.mask))
 
 
-def _complete_basis(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of R^dim."""
-    basis = [cols[:, j] for j in range(cols.shape[1])]
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for b in basis:
-            v = v - (b @ v) * b
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-8:
-            basis.append(v / nrm)
-    return np.column_stack(basis)
-
-
-def _jacobi_tall(A: np.ndarray):
-    """One-sided Jacobi for m >= n; returns (U_full m x m, sigma, V n x n)."""
-    m, n = A.shape
-    W = A.copy()
-    V = np.eye(n)
-    scale = max(1.0, float(np.abs(A).max()))
-    # columns this small are numerically zero; rotating against them stagnates
-    col_floor = (1e-13 * scale) ** 2
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(W[:, p] @ W[:, p])
-                beta = float(W[:, q] @ W[:, q])
-                gamma = float(W[:, p] @ W[:, q])
-                if min(alpha, beta) <= col_floor:
-                    continue
-                if abs(gamma) <= _JACOBI_EPS * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp = W[:, p].copy()
-                W[:, p] = c * wp - s * W[:, q]
-                W[:, q] = s * wp + c * W[:, q]
-                vp = V[:, p].copy()
-                V[:, p] = c * vp - s * V[:, q]
-                V[:, q] = s * vp + c * V[:, q]
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(f"no convergence in {_JACOBI_SWEEPS} sweeps")
-
-    sigma = np.sqrt(np.maximum(0.0, (W * W).sum(axis=0)))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    W = W[:, order]
-    V = V[:, order]
-    cutoff = _JACOBI_EPS * max(1.0, float(sigma[0]) if n else 1.0)
-    ucols = [W[:, j] / sigma[j] for j in range(n) if sigma[j] > cutoff]
-    if ucols:
-        U = _complete_basis(np.column_stack(ucols), m)
-    else:
-        U = np.eye(m)
-    return U, sigma, V
-
-
 def svd(A, tol: float | None = None) -> SvdBundle:
-    """Deterministic full SVD of a small dense matrix."""
+    """Full SVD of a small dense matrix."""
     a = _as_float(A)
-    t = scaled_tol(a, tol)
-    m, n = a.shape
-    if m >= n:
-        U, sigma, V = _jacobi_tall(a)
-    else:
-        V, sigma, U = _jacobi_tall(a.T)
-    return SvdBundle(U=U, sigma=sigma, V=V, tol=t)
+    U, sigma, Vt = np.linalg.svd(a, full_matrices=True)
+    return SvdBundle(U=U, sigma=sigma, V=Vt.T, tol=scaled_tol(a, tol))
 
 
 def flip_singular_signs(A, pattern: SignPattern, tol: float | None = None) -> np.ndarray:
@@ -181,8 +116,7 @@ def round_to_binary(B, tol: float | None = None):
     """Entrywise-nearest (0,1) matrix, or None when some entry is not
     within tolerance of {0,1}."""
     b = _as_float(B)
-    t = DEFAULT_TOL if tol is None else tol
-    t = max(t, 1e-12)
+    t = _checked_tol(tol, DEFAULT_TOL)
     rounded = np.rint(b)
     if np.abs(b - rounded).max() > t:
         return None
@@ -193,12 +127,9 @@ def round_to_binary(B, tol: float | None = None):
 
 def distinct_singular_values(A, rel_tol: float | None = None) -> bool:
     """True iff consecutive sorted singular values are well separated."""
-    rt = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    rt = _checked_tol(rel_tol, DEFAULT_REL_TOL)
     sigma = svd(A).sigma
-    for i in range(len(sigma) - 1):
-        if sigma[i] - sigma[i + 1] <= rt * max(1.0, float(sigma[i])):
-            return False
-    return True
+    return bool((sigma[:-1] - sigma[1:] > rt * np.maximum(1.0, sigma[:-1])).all())
 
 
 def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
@@ -232,7 +163,7 @@ def reconstruct_from_grams(G_row, G_col, tol: float | None = None) -> list[Binar
     if (Gr != Gr.T).any() or (Gc != Gc.T).any():
         raise ValueError("Gram matrices must be symmetric")
     scale = max(1.0, float(np.abs(Gr).max()), float(np.abs(Gc).max()))
-    t = (DEFAULT_TOL if tol is None else tol) * scale
+    t = _checked_tol(tol, DEFAULT_TOL) * scale
 
     rvals, rvecs = _positive_eigs(Gr.astype(np.float64), t)
     cvals, cvecs = _positive_eigs(Gc.astype(np.float64), t)

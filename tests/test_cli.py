@@ -88,6 +88,19 @@ class TestConvertible:
     def test_not_mates_is_usage_error(self, capsys, i2):
         assert run(["convertible", i2, i2]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, capsys, x2, i2, tol):
+        assert run(["convertible", "--tol", tol, x2, i2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_tiny_tol_is_floored(self, capsys, x2, i2):
+        # below rounding noise the cross-checks would fail on a convertible
+        # pair; the tolerance is raised to 1e-12 instead
+        code, out = cli(capsys, "convertible", "--tol", "1e-30", x2, i2)
+        assert code == 0 and out.startswith("convertible: yes\n")
+        assert " no\n" not in out
+
 
 class TestClassify:
     def test_rank1(self, capsys):
@@ -267,6 +280,10 @@ class TestIsomorphic:
         # the 10x10 pair has a repeated singular value
         assert run(["isomorphic", A10, b10, "--distinct-sv"]) == 2
 
+    @pytest.mark.parametrize("rel_tol", ["0", "-1", "nan"])
+    def test_bad_rel_tol_is_usage_error(self, x2, i2, rel_tol):
+        assert run(["isomorphic", x2, i2, "--distinct-sv", "--rel-tol", rel_tol]) == 2
+
 
 class TestFixable:
     def test_not_fixable(self, capsys):
@@ -335,6 +352,15 @@ class TestReconstruct:
         gr = self._gram(tmp_path, "gr.mtxt", a @ a.T)
         gc = self._gram(tmp_path, "gc.mtxt", 2 * (a.T @ a))
         assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (3, "none\n")
+
+    @pytest.mark.parametrize("tol", [None, "-1", "0", "nan"])
+    def test_identity_gram_is_usage_error_at_any_tol(self, capsys, tmp_path, tol):
+        # I2 is itself a solution, so "none" would be a wrong no; its
+        # repeated eigenvalue is unsupported, and a bad --tol is rejected
+        g = self._gram(tmp_path, "g.mtxt", np.eye(2, dtype=int))
+        extra = [] if tol is None else ["--tol", tol]
+        assert run(["reconstruct", "--grow", g, "--gcol", g, *extra]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("text", ["3 3\n2 1 0\n1 2.5 1\n0 1 1\n",
                                       "3 three\n2 1 0\n1 2 1\n0 1 1\n",

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from grammate import numerics
 from grammate.gram import (
     CHECK_NAMES,
     convertibility,
@@ -135,3 +136,36 @@ class TestConvertibility:
                 assert len(set(rep.checks.values())) == 1
                 checked += 1
         assert checked > 50
+
+    def test_rotated_singular_vectors_raise(self, monkeypatch, rank1_example):
+        # turning each first singular vector towards the null space of A - B
+        # takes it out of the row space; a numeric check must then fail
+        real = numerics.svd
+
+        def givens(n, angle=0.3):
+            g = np.eye(n)
+            g[0, 0] = g[-1, -1] = np.cos(angle)
+            g[0, -1], g[-1, 0] = -np.sin(angle), np.sin(angle)
+            return g
+
+        def rotated(a, tol=None):
+            b = real(a, tol)
+            return numerics.SvdBundle(U=b.U @ givens(len(b.U)), sigma=b.sigma,
+                                      V=b.V @ givens(len(b.V)), tol=b.tol)
+
+        monkeypatch.setattr(numerics, "svd", rotated)
+        A, B, _ = rank1_example
+        with pytest.raises(RuntimeError, match="numeric"):
+            convertibility(is_gram_pair(A, B))
+
+    def test_vectors_outside_the_difference_row_space_raise(self, monkeypatch):
+        # e3 is a null vector of A and B on both sides: with value 0 it passes
+        # the sign-flip and (A+B)-null checks, so only the exact span test,
+        # which must not lean on the SVD it checks, can reject it
+        A = BinaryMatrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+        B = BinaryMatrix(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+        e = np.eye(3)[:, ::-1]
+        monkeypatch.setattr(numerics, "svd", lambda a, tol=None: numerics.SvdBundle(
+            U=e, sigma=np.zeros(3), V=e, tol=numerics.DEFAULT_TOL))
+        with pytest.raises(RuntimeError, match="numeric"):
+            convertibility(is_gram_pair(A, B))

@@ -67,6 +67,24 @@ class TestSvd:
         ref = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(b.sigma[: len(ref)], ref, atol=1e-9)
 
+    @pytest.mark.parametrize("a, rank", [
+        (np.zeros((3, 2)), 0),
+        (np.zeros((1, 1)), 0),
+        (np.ones((1, 4)), 1),
+        (np.ones((4, 1)), 1),
+        (np.ones((2, 2)), 1),
+    ], ids=["zeros3x2", "zeros1x1", "ones1x4", "ones4x1", "ones2x2"])
+    def test_degenerate_shapes(self, a, rank):
+        b = svd(a)
+        m, n = a.shape
+        assert b.U.shape == (m, m) and b.V.shape == (n, n)
+        assert np.allclose(b.U @ b.U.T, np.eye(m), atol=1e-12)
+        assert np.allclose(b.V @ b.V.T, np.eye(n), atol=1e-12)
+        assert len(b.sigma) == min(m, n)
+        assert (np.diff(b.sigma) <= 0).all()
+        assert np.allclose(b.compose(), a, atol=1e-12)
+        assert b.rank == rank
+
 
 class TestFlipSigns:
     def test_exchange_to_identity(self):
@@ -132,6 +150,26 @@ class TestReconstruct:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_from_grams(np.array([[1, 1], [0, 1]]), np.eye(2, dtype=int))
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_finite_or_non_positive(self, tol):
+        g = np.array([[2, 1], [1, 1]])
+        with pytest.raises(ValueError):
+            numerics.scaled_tol(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            svd(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            round_to_binary(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            distinct_singular_values(np.eye(2), tol)
+        with pytest.raises(ValueError):
+            reconstruct_from_grams(g, g, tol)
+
+    def test_tiny_tol_is_floored(self):
+        assert numerics.scaled_tol(np.eye(2), 1e-30) == 1e-12
+        assert round_to_binary(np.array([[1.0 - 1e-13]]), 1e-30) == BinaryMatrix.ones(1, 1)
 
 
 class TestScaledTol:
