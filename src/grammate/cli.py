@@ -59,6 +59,13 @@ def _load_binary(path) -> BinaryMatrix:
     return M
 
 
+def _load_pair(args) -> tuple[BinaryMatrix, BinaryMatrix]:
+    A, B = _load_binary(args.A), _load_binary(args.B)
+    if A.shape != B.shape:
+        raise UsageError("dimension mismatch")
+    return A, B
+
+
 def _load_gram(path) -> np.ndarray:
     """Gram matrices have entries beyond {-1,0,1}: the .mtxt grammar with
     any integer entries."""
@@ -82,11 +89,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    A = _load_binary(args.A)
-    B = _load_binary(args.B)
-    if A.shape != B.shape:
-        raise UsageError("dimension mismatch")
-    pair = is_gram_pair(A, B)
+    pair = is_gram_pair(*_load_pair(args))
     if args.json:
         _emit_json({"command": "verify", "mates": pair is not None,
                     "diff_rank": None if pair is None else pair.diff_rank})
@@ -98,7 +101,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convertible(args) -> int:
-    pair = is_gram_pair(_load_binary(args.A), _load_binary(args.B))
+    pair = is_gram_pair(*_load_pair(args))
     if pair is None:
         raise UsageError("not Gram mates")
     try:
@@ -192,7 +195,10 @@ def cmd_gram_data(args) -> int:
     elif form.mtype == "M5":
         if not args.witness:
             raise UsageError("M5 Gram data needs --witness")
-        res = rank2_witness_check(_load_binary(args.witness), form)
+        witness = _load_binary(args.witness)
+        if witness.shape != E.shape:
+            raise UsageError("witness and E differ in shape")
+        res = rank2_witness_check(witness, form)
         ok, profile = res if isinstance(res, tuple) else (res, None)
         if not ok or profile is None:
             print("witness rejected")
@@ -273,8 +279,7 @@ def _report_witness(w: iso.IsoWitness) -> None:
 
 
 def cmd_isomorphic(args) -> int:
-    A = _load_binary(args.A)
-    B = _load_binary(args.B)
+    A, B = _load_pair(args)
     if args.distinct_sv:
         pair = is_gram_pair(A, B)
         if pair is None:
@@ -296,7 +301,7 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_fixable(args) -> int:
-    pair = is_gram_pair(_load_binary(args.A), _load_binary(args.B))
+    pair = is_gram_pair(*_load_pair(args))
     if pair is None:
         raise UsageError("not Gram mates")
     try:

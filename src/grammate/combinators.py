@@ -61,22 +61,6 @@ def kron_pair(p1: GramPair, p2: GramPair) -> GramPair:
     return _verified(a, b)
 
 
-def kron_pair_literal(p1: GramPair, p2: GramPair):
-    """(A1 (x) B1, A2 (x) B2), pairing across the two input pairs.
-
-    For generic independent inputs this fails the Gram identities, so the
-    result is reported honestly: (left, right, pair) where pair is the
-    verified GramPair or None.
-    """
-    a = np.kron(p1.A.int64(), p1.B.int64())
-    b = np.kron(p2.A.int64(), p2.B.int64())
-    left = BinaryMatrix(a.astype(np.int8))
-    right = BinaryMatrix(b.astype(np.int8))
-    if a.shape != b.shape:
-        return left, right, None
-    return left, right, is_gram_pair(left, right)
-
-
 def kron_swap(p: GramPair) -> GramPair:
     """(A (x) B, B (x) A)."""
     a = np.kron(p.A.int64(), p.B.int64())

@@ -106,21 +106,6 @@ def spread_construction(R, n: int) -> BinaryMatrix:
     return BinaryMatrix(out)
 
 
-def balanced_rows_for_colsum(S, m: int) -> BinaryMatrix:
-    """Matrix with column sums S and near-equal row sums.
-
-    With total = q*m + r, the row sums are q+1 for the first r rows and q for
-    the rest.
-    """
-    s = _vec(S)
-    if any(x > m for x in s):
-        raise ValueError("every column sum must be at most m")
-    total = sum(s)
-    q, rem = divmod(total, m)
-    rows = [q + 1] * rem + [q] * (m - rem)
-    return construct_urs(rows, s)
-
-
 def _J(m: int, n: int) -> np.ndarray:
     return np.ones((m, n), dtype=np.int8)
 

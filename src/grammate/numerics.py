@@ -5,13 +5,14 @@ matrices from their two Gram projections.
 
 The SVD is LAPACK's, through numpy; with BLAS on one thread identical
 inputs give bitwise-identical output.  Every tolerance argument must be
-finite and positive; values below 1e-12, which rounding noise alone can
-exceed, are raised to it.
+finite, positive and at most 1e-3; values below 1e-12, which rounding noise
+alone can exceed, are raised to it.  The ceiling keeps a numeric check from
+accepting what the exact integer checks reject: at a tolerance near 1 a
+near-miss reads as a match.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .matrix_core import BinaryMatrix, _in_range
 DEFAULT_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-8
 _TOL_FLOOR = 1e-12
+_TOL_CEILING = 1e-3
 
 
 class DegenerateSpectrumError(ValueError):
@@ -40,12 +42,12 @@ def _as_float(A) -> np.ndarray:
 
 
 def _checked_tol(tol: float | None, default: float) -> float:
-    """default for None; ValueError unless tol is finite and positive; at
-    least _TOL_FLOOR."""
+    """default for None; ValueError unless 0 < tol <= _TOL_CEILING (NaN
+    fails both comparisons); at least _TOL_FLOOR."""
     if tol is None:
         return default
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if not (0 < tol <= _TOL_CEILING):
+        raise ValueError(f"tolerance must be positive and at most {_TOL_CEILING:g}, got {tol}")
     return max(tol, _TOL_FLOOR)
 
 

@@ -7,10 +7,17 @@ M1..M5.  This module classifies a given difference matrix into its form,
 decides realizability, completes a form to a concrete witness A (so that
 (A, A+E) is a Gram pair), checks candidate witnesses by the block-sum
 conditions, and produces closed-form Gram singular data.
+
+Classification is a column-signature lookup.  The live rows of E split
+into sign-normalised patterns (one for rank 1, two or three for rank 2);
+each live column's entries across the patterns form its signature, and the
+set of signatures names the form and the order and signs of its basis
+patterns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,9 +34,7 @@ from .matrix_core import (
     SignedMatrix,
     _in_range,
     apply_perms,
-    col_sums,
     rank_exact,
-    row_sums,
 )
 
 
@@ -51,6 +56,35 @@ def _perm_from_order(order) -> Permutation:
     for pos, orig in enumerate(order):
         image[orig] = pos
     return Permutation(tuple(image))
+
+
+def _pattern_split(b: np.ndarray):
+    """Split the live rows of b into sign-normalised patterns.
+
+    A live row is s * p, with s the sign of its first nonzero entry and p
+    its pattern; patterns are numbered in order of first appearance.
+    Returns (plus, minus, groups, zero_rows, zero_cols): plus[t] and
+    minus[t] are the rows equal to pattern t and to its negation, and
+    groups maps the signature of each live column (its entries across the
+    patterns) to the columns that carry it.  Every index list ascends.
+    """
+    nz = b != 0
+    live_rows, live_cols = nz.any(axis=1), nz.any(axis=0)
+    rows = np.flatnonzero(live_rows)
+    signs = b[rows, nz[rows].argmax(axis=1)]
+    number: dict[bytes, int] = {}
+    pats, plus, minus = [], [], []
+    for i, s, row in zip(rows.tolist(), signs.tolist(), b[rows] * signs[:, None]):
+        t = number.setdefault(row.tobytes(), len(number))
+        if t == len(pats):
+            pats.append(row[live_cols].tolist())
+            plus.append([])
+            minus.append([])
+        (plus if s > 0 else minus)[t].append(i)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, sig in zip(np.flatnonzero(live_cols).tolist(), zip(*pats)):
+        groups.setdefault(sig, []).append(j)
+    return plus, minus, groups, np.flatnonzero(~live_rows).tolist(), np.flatnonzero(~live_cols).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +122,19 @@ def classify_rank1(E: SignedMatrix):
         raise ValueError("E must be nonzero")
     if rank_exact(E) != 1:
         return None
-    if any(row_sums(E)) or any(col_sums(E)):
+    if a.sum(axis=1).any() or a.sum(axis=0).any():
         return None
-    m, n = a.shape
-    first = next(i for i in range(m) if a[i].any())
-    v = a[first]
-    j0 = next(j for j in range(n) if v[j])
-    if v[j0] < 0:
-        v = -v
-    plus = [i for i in range(m) if (a[i] == v).all()]
-    minus = [i for i in range(m) if (a[i] == -v).all()]
-    zero = [i for i in range(m) if not a[i].any()]
-    if len(plus) + len(minus) + len(zero) != m:
-        return None
-    if not plus or len(plus) != len(minus):
-        return None
-    cplus = [j for j in range(n) if v[j] == 1]
-    cminus = [j for j in range(n) if v[j] == -1]
-    czero = [j for j in range(n) if v[j] == 0]
-    if not cplus or len(cplus) != len(cminus):
+    plus, minus, groups, zero_rows, zero_cols = _pattern_split(a)
+    cplus, cminus = groups.get((1,), []), groups.get((-1,), [])
+    if len(plus) != 1 or len(plus[0]) != len(minus[0]) or len(cplus) != len(cminus):
         return None
     form = Rank1Form(
-        k1=len(plus),
+        k1=len(plus[0]),
         k2=len(cplus),
-        row_perm=_perm_from_order(plus + minus + zero),
-        col_perm=_perm_from_order(cplus + cminus + czero),
+        row_perm=_perm_from_order(plus[0] + minus[0] + zero_rows),
+        col_perm=_perm_from_order(cplus + cminus + zero_cols),
     )
-    canon = canonical_rank1_E(form.k1, form.k2, len(zero), len(czero))
+    canon = canonical_rank1_E(form.k1, form.k2, len(zero_rows), len(zero_cols))
     if apply_perms(E, form.row_perm, form.col_perm) != canon:
         return None
     return form
@@ -257,165 +277,59 @@ def _row_group_sizes(mtype: str, idx: dict[str, int]) -> list[int]:
     return [idx["k"], idx["k"], idx["l"], idx["l"]]
 
 
-def _row_group_patterns(mtype: str) -> list[tuple[int, ...]]:
-    pats = _M_LAYOUT[mtype][1]
-    if mtype == "M5":
-        out = []
-        for p in pats:
-            out.append(p)
-            out.append(tuple(-x for x in p))
-        return out
-    return [pats[0], tuple(-x for x in pats[0]), pats[1], tuple(-x for x in pats[1])]
-
-
 def canonical_rank2_E(
     mtype: str, idx: dict[str, int], pad_rows: int = 0, pad_cols: int = 0
 ) -> SignedMatrix:
-    col_names = _M_LAYOUT[mtype][0]
-    col_sizes = [idx[n] for n in col_names]
-    row_sizes = _row_group_sizes(mtype, idx)
-    patterns = _row_group_patterns(mtype)
-    width = sum(col_sizes) + pad_cols
-    rows = []
-    for size, pat in zip(row_sizes, patterns):
-        row = np.concatenate(
-            [np.full(w, s, dtype=np.int8) for w, s in zip(col_sizes, pat)] + [np.zeros(pad_cols, dtype=np.int8)]
-        )
-        rows.extend([row] * size)
-    rows.extend([np.zeros(width, dtype=np.int8)] * pad_rows)
-    return SignedMatrix(np.array(rows, dtype=np.int8))
+    col_names, pats = _M_LAYOUT[mtype]
+    pats = np.array(pats, dtype=np.int8)
+    # row groups in _row_group_sizes order: each basis pattern, then its negation
+    table = np.stack([pats, -pats], axis=1).reshape(-1, pats.shape[1])
+    core = np.repeat(table, _row_group_sizes(mtype, idx), axis=0)
+    core = np.repeat(core, [idx[n] for n in col_names], axis=1)
+    out = np.zeros((core.shape[0] + pad_rows, core.shape[1] + pad_cols), dtype=np.int8)
+    out[: core.shape[0], : core.shape[1]] = core
+    return SignedMatrix(out)
 
 
 # ---------------------------------------------------------------------------
 # rank 2: classification
 
 
-def _sign_patterns(a: np.ndarray):
-    """Distinct nonzero row patterns, sign-normalized, with their +/- rows."""
-    pats: list[np.ndarray] = []
-    plus: list[list[int]] = []
-    minus: list[list[int]] = []
-    for i in range(a.shape[0]):
-        row = a[i]
-        if not row.any():
-            continue
-        j0 = next(j for j in range(len(row)) if row[j])
-        sign = 1 if row[j0] > 0 else -1
-        canon = row * sign
-        for t, p in enumerate(pats):
-            if (p == canon).all():
-                (plus if sign == 1 else minus)[t].append(i)
-                break
-        else:
-            pats.append(canon)
-            plus.append([i] if sign == 1 else [])
-            minus.append([i] if sign == -1 else [])
-    return pats, plus, minus
+@functools.cache
+def _match(sigs: frozenset):
+    """(mtype, pattern order, pattern signs) of the first form that fits the
+    column signatures sigs, or None; classify_rank2 gives the order tried.
 
-
-def _match_two_patterns(a: np.ndarray, pats, plus, minus):
-    """Try M1..M4 in order over pattern orderings and sign flips."""
-    n = a.shape[1]
-    for mtype in ("M1", "M2", "M3", "M4"):
-        for order in ((0, 1), (1, 0)):
-            for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                u = s1 * pats[order[0]]
-                w = s2 * pats[order[1]]
-                groups: dict[tuple[int, int], list[int]] = {}
-                for j in range(n):
-                    groups.setdefault((int(u[j]), int(w[j])), []).append(j)
-                cnt = {sig: len(cols) for sig, cols in groups.items()}
-                if mtype == "M1":
-                    ok = (
-                        set(cnt) <= {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-                        and cnt.get((1, 1), 0) == cnt.get((-1, -1), 0) > 0
-                        and cnt.get((1, -1), 0) == cnt.get((-1, 1), 0) > 0
-                    )
-                elif mtype == "M2":
-                    ok = (
-                        set(cnt) <= {(1, 0), (-1, 0), (0, 1), (0, -1)}
-                        and cnt.get((1, 0), 0) == cnt.get((-1, 0), 0) > 0
-                        and cnt.get((0, 1), 0) == cnt.get((0, -1), 0) > 0
-                    )
-                elif mtype == "M3":
-                    quad = sum(cnt.get(s, 0) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-                    half = cnt.get((1, 0), 0) + cnt.get((-1, 0), 0)
-                    ok = (
-                        not (cnt.get((0, 1), 0) or cnt.get((0, -1), 0))
-                        and quad > 0
-                        and half > 0
-                    )
-                else:
-                    quad = sum(cnt.get(s, 0) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-                    half = cnt.get((1, 0), 0) + cnt.get((-1, 0), 0)
-                    vert = cnt.get((0, 1), 0) + cnt.get((0, -1), 0)
-                    ok = quad > 0 and half > 0 and vert > 0
-                if not ok:
-                    continue
-                up = plus[order[0]] if s1 == 1 else minus[order[0]]
-                um = minus[order[0]] if s1 == 1 else plus[order[0]]
-                wp = plus[order[1]] if s2 == 1 else minus[order[1]]
-                wm = minus[order[1]] if s2 == 1 else plus[order[1]]
-                if not (up and len(up) == len(um) and wp and len(wp) == len(wm)):
-                    continue
-                # M1 names each of a, b twice; ok made both counts equal
-                names = dict(zip(_M_LAYOUT[mtype][0], (cnt.get(sig, 0) for sig in _COL_SIGS[mtype])))
-                names["k"] = len(up)
-                names["l"] = len(wp)
-                row_order = sorted(up) + sorted(um) + sorted(wp) + sorted(wm)
-                col_order = [c for sig in _COL_SIGS[mtype] for c in sorted(groups.get(sig, []))]
-                idx = {nm: names[nm] for nm in M_INDEX_NAMES[mtype]}
-                return mtype, idx, row_order, col_order
-    return None
-
-
-def _match_three_patterns(a: np.ndarray, pats, plus, minus):
-    n = a.shape[1]
-    for order in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            r1 = signs[0] * pats[order[0]]
-            r2 = signs[1] * pats[order[1]]
-            r3 = signs[2] * pats[order[2]]
-            if not (r1 == r2 + r3).all():
-                continue
-            groups: dict[tuple[int, int, int], list[int]] = {}
-            for j in range(n):
-                groups.setdefault((int(r1[j]), int(r2[j]), int(r3[j])), []).append(j)
-            if not set(groups) <= set(_COL_SIGS["M5"]):
-                continue
-            counts = {nm: len(groups.get(sig, [])) for nm, sig in zip(_M_LAYOUT["M5"][0], _COL_SIGS["M5"])}
-            bands = []
-            for t, s in zip(order, signs):
-                bp = plus[t] if s == 1 else minus[t]
-                bm = minus[t] if s == 1 else plus[t]
-                bands.append((sorted(bp), sorted(bm)))
-            idx = {
-                "k": len(bands[0][0]),
-                "l": len(bands[0][1]),
-                "p": len(bands[1][0]),
-                "q": len(bands[1][1]),
-                "r": len(bands[2][0]),
-                "s": len(bands[2][1]),
-                **counts,
-            }
-            pair_sums = (
-                idx["k"] + idx["l"],
-                idx["p"] + idx["q"],
-                idx["r"] + idx["s"],
-                idx["a"] + idx["b"],
-                idx["c"] + idx["d"],
-                idx["e"] + idx["f"],
-            )
-            if any(t == 0 for t in pair_sums):
-                continue
-            row_order = [i for band in bands for part in band for i in part]
-            col_order = [j for sig in _COL_SIGS["M5"] for j in sorted(groups.get(sig, []))]
-            return "M5", idx, row_order, col_order
+    A fit maps sigs into the form's column signatures and meets every
+    support class among them (M3, say, needs a column on both patterns and
+    one on the first alone).  The zero sums and the rank of E supply the
+    rest of the block structure.  Signatures of a rank-2 split lie in a
+    plane, so a key holds at most eight and the cache stays small.
+    """
+    width = len(next(iter(sigs)))
+    for mtype in ("M1", "M2", "M3", "M4") if width == 2 else ("M5",):
+        allowed = set(_COL_SIGS[mtype])
+        classes = {tuple(x != 0 for x in sig) for sig in allowed}
+        for order in itertools.permutations(range(width)):
+            for signs in itertools.product((1, -1), repeat=width):
+                moved = {tuple(s * sig[t] for t, s in zip(order, signs)) for sig in sigs}
+                if moved <= allowed and {tuple(x != 0 for x in sig) for sig in moved} == classes:
+                    return mtype, order, signs
     return None
 
 
 def classify_rank2(E: SignedMatrix):
     """Rank2Form for a rank-2 zero-sum matrix, None if shape/rank/sums fail.
+
+    Classification is a lookup: the live rows split into two or three
+    sign-normalised patterns, numbered by first appearance, and the set of
+    column signatures across them names the form.  A form has symmetric
+    labellings, as its basis patterns may be reordered and negated.  The
+    one returned is the first fit when forms are tried as M1, M2, M3, M4
+    (two patterns) or M5 (three), within a form each pattern order in
+    itertools.permutations order, then each sign choice in
+    itertools.product((1, -1)) order.  Rows and columns ascend inside each
+    group, and the untransposed orientation is tried first.
 
     Raises FormMatchError for a rank-2 zero-sum matrix that matches none of
     the five forms in either orientation (such a matrix is not realizable).
@@ -425,40 +339,35 @@ def classify_rank2(E: SignedMatrix):
         raise ValueError("E must be nonzero")
     if rank_exact(E) != 2:
         return None
-    if any(row_sums(E)) or any(col_sums(E)):
+    if a.sum(axis=1).any() or a.sum(axis=0).any():
         return None
 
     for transposed in (False, True):
         b = a.T if transposed else a
-        live_rows = [i for i in range(b.shape[0]) if b[i].any()]
-        live_cols = [j for j in range(b.shape[1]) if b[:, j].any()]
-        core = b[np.ix_(live_rows, live_cols)]
-        pats, plus, minus = _sign_patterns(core)
-        if len(pats) == 2:
-            hit = _match_two_patterns(core, pats, plus, minus)
-        elif len(pats) == 3:
-            hit = _match_three_patterns(core, pats, plus, minus)
-        else:
-            hit = None
+        plus, minus, groups, zero_rows, zero_cols = _pattern_split(b)
+        hit = _match(frozenset(groups)) if len(plus) in (2, 3) else None
         if hit is None:
             continue
-        mtype, idx, row_order, col_order = hit
-        zr = [i for i in range(b.shape[0]) if i not in live_rows]
-        zc = [j for j in range(b.shape[1]) if j not in live_cols]
-        full_rows = [live_rows[i] for i in row_order] + zr
-        full_cols = [live_cols[j] for j in col_order] + zc
-        form = Rank2Form(
+        mtype, order, signs = hit
+        bands = [(plus[t], minus[t]) if s > 0 else (minus[t], plus[t]) for t, s in zip(order, signs)]
+        moved = {tuple(s * sig[t] for t, s in zip(order, signs)): cols for sig, cols in groups.items()}
+        col_groups = [moved.get(sig, []) for sig in _COL_SIGS[mtype]]
+        # M1 names each of a, b twice; the zero row sums make both counts equal
+        idx = dict(zip(_M_LAYOUT[mtype][0], map(len, col_groups)))
+        sizes = [len(part) for band in bands for part in band]
+        idx.update(zip("klpqrs", sizes) if mtype == "M5" else (("k", sizes[0]), ("l", sizes[2])))
+        row_order = [i for band in bands for part in band for i in part] + zero_rows
+        col_order = [j for cols in col_groups for j in cols] + zero_cols
+        canon = canonical_rank2_E(mtype, idx, len(zero_rows), len(zero_cols))
+        if not np.array_equal(b[np.ix_(row_order, col_order)], canon.data):
+            raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
+        return Rank2Form(
             mtype=mtype,
             indices=tuple((nm, idx[nm]) for nm in M_INDEX_NAMES[mtype]),
-            row_perm=_perm_from_order(full_rows),
-            col_perm=_perm_from_order(full_cols),
+            row_perm=_perm_from_order(row_order),
+            col_perm=_perm_from_order(col_order),
             transposed=transposed,
         )
-        canon = canonical_rank2_E(mtype, idx, len(zr), len(zc))
-        oriented = SignedMatrix(b.astype(np.int8))
-        if apply_perms(oriented, form.row_perm, form.col_perm) != canon:
-            raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
-        return form
     raise FormMatchError("rank-2 zero-sum matrix matches no canonical form; not realizable")
 
 

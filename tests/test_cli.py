@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grammate.cli import run
 from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix
-from grammate.rank_forms import canonical_rank2_E, classify_rank2, rank2_complete
+from grammate.rank_forms import canonical_rank2_E, classify_rank2, rank2_complete, rank2_realizable
 
 FIX = Path(__file__).parent / "fixtures"
 A7 = str(FIX / "ex_rank1_A.mtxt")
@@ -91,6 +96,16 @@ class TestConvertible:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, capsys, x2, i2, tol):
         assert run(["convertible", "--tol", tol, x2, i2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_tol_above_ceiling_is_usage_error(self, capsys, tmp_path):
+        # I3 and the 3-cycle are mates that do not convert; at --tol 10 every
+        # numeric check passed against the integer "no" and the run crashed
+        i3, p3 = tmp_path / "I3.mtxt", tmp_path / "P3.mtxt"
+        save_matrix(BinaryMatrix.identity(3), i3)
+        save_matrix(BinaryMatrix(np.roll(np.eye(3, dtype=np.int8), 1, axis=1)), p3)
+        assert run(["convertible", "--tol", "10", str(i3), str(p3)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -353,7 +368,7 @@ class TestReconstruct:
         gc = self._gram(tmp_path, "gc.mtxt", 2 * (a.T @ a))
         assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (3, "none\n")
 
-    @pytest.mark.parametrize("tol", [None, "-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", [None, "-1", "0", "nan", "2"])
     def test_identity_gram_is_usage_error_at_any_tol(self, capsys, tmp_path, tol):
         # I2 is itself a solution, so "none" would be a wrong no; its
         # repeated eigenvalue is unsupported, and a bad --tol is rejected
@@ -373,3 +388,110 @@ class TestReconstruct:
         assert run(["reconstruct", "--grow", str(gr), "--gcol", gc]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: any .mtxt text and any argv exit in {0, 2, 3, 4}, never raise
+
+
+def _text(a) -> str:
+    a = np.asarray(a)
+    return f"{a.shape[0]} {a.shape[1]}\n" + "".join(
+        " ".join(str(int(x)) for x in row) + "\n" for row in a)
+
+
+def _fixture_text(name) -> str:
+    return (FIX / name).read_text()
+
+
+_MATES = [(_text([[0, 1], [1, 0]]), _text(np.eye(2, dtype=int))),
+          (_text(np.eye(3, dtype=int)), _text(np.roll(np.eye(3, dtype=int), 1, axis=1))),
+          (_fixture_text("ex_rank1_A.mtxt"), _fixture_text("ex_rank1_B.mtxt")),
+          (_fixture_text("ex_same_entries_A.mtxt"),
+           _text(load_matrix(A10).int64() + load_matrix(E10).int64()))]
+# hypothesis draws early list entries more often, so the M5 forms come first
+_FORM_MATRICES = [canonical_rank2_E(m, idx) for m, idx in [
+    ("M5", dict(k=1, l=1, p=1, q=1, r=1, s=1, a=1, b=1, c=1, d=1, e=1, f=1)),
+    ("M5", dict(k=2, l=1, p=0, q=1, r=1, s=2, a=2, b=1, c=0, d=1, e=1, f=2)),
+    ("M4", dict(k=1, l=1, a=1, b=0, c=0, d=0, e=0, f=1, g=0, h=1)),
+    ("M3", dict(k=1, l=1, a=1, b=1, c=1, d=1, e=1, f=1)),
+    ("M1", dict(k=1, l=1, a=1, b=1)),
+]]
+_FORMS = [_text(E.data) for E in _FORM_MATRICES] + [
+    _fixture_text("ex_rank1_E.mtxt"), _fixture_text("ex_same_entries_E.mtxt")]
+# completed witnesses of the realizable forms, for --witness
+_WITNESSES = [_text(rank2_complete(f).data)
+              for f in map(classify_rank2, _FORM_MATRICES) if rank2_realizable(f)]
+
+
+def _small(entries):
+    return st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.sampled_from(entries), min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+_MATRIX_TEXT = st.one_of(
+    _small([0, 1]).map(_text),
+    _small([0, 1, 1, 0, -1, 2]).map(_text),
+    st.sampled_from([t for pair in _MATES for t in pair] + _FORMS),
+    st.text(alphabet="0123456789 -+.#xe\n", max_size=30),
+)
+_PAIR_TEXT = st.one_of(st.sampled_from(_MATES), st.tuples(_MATRIX_TEXT, _MATRIX_TEXT))
+
+
+def _grams(rows) -> tuple[str, str]:
+    a = np.array(rows)
+    return _text(a @ a.T), _text(a.T @ a)
+
+
+_GRAM_TEXT = st.one_of(_small([0, 1]).map(_grams), st.tuples(_MATRIX_TEXT, _MATRIX_TEXT))
+_TOL = st.sampled_from(["1e-9", "1e-3", "1e-30", "2", "0", "-1", "nan", "inf", "x"])
+_CAP = st.sampled_from(["1", "0", "-3", "50", "x"])
+
+
+@st.composite
+def _invocation(draw, command):
+    """(argv with {dir} placeholders, {file name: text})."""
+    files = {}
+    if command == "reconstruct":
+        files["gr.mtxt"], files["gc.mtxt"] = draw(_GRAM_TEXT)
+        argv = [command, "--grow", "{dir}/gr.mtxt", "--gcol", "{dir}/gc.mtxt"]
+    elif command in ("classify", "complete", "gram-data"):
+        files["E.mtxt"] = draw(st.one_of(st.sampled_from(_FORMS), _MATRIX_TEXT))
+        argv = [command, "{dir}/E.mtxt"]
+    else:
+        files["A.mtxt"], files["B.mtxt"] = draw(_PAIR_TEXT)
+        argv = [command, "{dir}/A.mtxt", "{dir}/B.mtxt"]
+    options = {
+        "verify": [["--json"]],
+        "convertible": [["--json"], ["--tol", draw(_TOL)]],
+        "classify": [["--json"]],
+        "complete": [["--out", "{dir}/out.mtxt"]],
+        "gram-data": [["--json"], ["--witness", "{dir}/W.mtxt"]],
+        "isomorphic": [["--cap", draw(_CAP)], ["--rel-tol", draw(_TOL)], ["--distinct-sv"]],
+        "fixable": [["--cap", draw(_CAP)]],
+        "reconstruct": [["--tol", draw(_TOL)]],
+    }[command]
+    for option in options:
+        if draw(st.booleans()):
+            argv += option
+    if "{dir}/W.mtxt" in argv:
+        files["W.mtxt"] = draw(st.one_of(st.sampled_from(_WITNESSES), _MATRIX_TEXT))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
+    return argv, files
+
+
+@pytest.mark.parametrize("command", ["verify", "convertible", "classify", "complete",
+                                     "gram-data", "isomorphic", "fixable", "reconstruct"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_contract_fuzz(command, data):
+    argv, files = data.draw(_invocation(command))
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            Path(d, name).write_text(text, encoding="utf-8")
+        args = [a.replace("{dir}", d) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(args)
+    assert code in (0, 2, 3, 4), args

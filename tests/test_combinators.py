@@ -7,7 +7,6 @@ from grammate.combinators import (
     direct_sum_pair,
     join_pair,
     kron_pair,
-    kron_pair_literal,
     kron_realizable,
     kron_swap,
 )
@@ -77,14 +76,6 @@ class TestKron:
         assert p.A.shape == (4, 4)
         assert p.diff_rank >= 1
         assert kron_swap(paper_pair(rank1_example)).A.shape == (49, 49)
-
-    def test_literal_orientation_reported_honestly(self, rank1_example):
-        left, right, pair = kron_pair_literal(exchange_pair(), paper_pair(rank1_example))
-        assert left.shape != right.shape and pair is None
-        # with the roles swapped in the second pair the products are
-        # exchange^2 = I4 against I (x) I, a genuine pair
-        _, _, same = kron_pair_literal(exchange_pair(), is_gram_pair(I2, EXCHANGE))
-        assert same is not None
 
 
 class TestKronRealizable:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grammate.gale_ryser import (
     InfeasibleError,
-    balanced_rows_for_colsum,
     check_signed_profile,
     conjugate,
     construct_urs,
@@ -145,21 +144,6 @@ class TestSpreadConstruction:
         assert row_sums(m) == tuple(r)
         q, rem = divmod(sum(r), n)
         assert col_sums(m) == tuple([q + 1] * rem + [q] * (n - rem))
-
-
-class TestBalancedRows:
-    def test_square_ones(self):
-        assert (balanced_rows_for_colsum((2, 2), 2).data == 1).all()
-
-    def test_remainder_split(self):
-        m = balanced_rows_for_colsum((1, 1, 1), 2)
-        assert row_sums(m) == (2, 1)
-        m = balanced_rows_for_colsum((3, 1), 3)
-        assert row_sums(m) == (2, 1, 1)
-
-    def test_too_tall_rejected(self):
-        with pytest.raises(ValueError):
-            balanced_rows_for_colsum((3,), 2)
 
 
 class TestEvenBlock:

@@ -153,8 +153,8 @@ class TestReconstruct:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_non_finite_or_non_positive(self, tol):
+    @staticmethod
+    def _assert_rejected(tol):
         g = np.array([[2, 1], [1, 1]])
         with pytest.raises(ValueError):
             numerics.scaled_tol(np.eye(2), tol)
@@ -166,6 +166,18 @@ class TestTolerances:
             distinct_singular_values(np.eye(2), tol)
         with pytest.raises(ValueError):
             reconstruct_from_grams(g, g, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_non_finite_or_non_positive(self, tol):
+        self._assert_rejected(tol)
+
+    @pytest.mark.parametrize("tol", [2e-3, 10.0])
+    def test_rejects_above_ceiling(self, tol):
+        # near 1 a numeric check accepts what the exact checks reject
+        self._assert_rejected(tol)
+
+    def test_ceiling_itself_is_accepted(self):
+        assert numerics.scaled_tol(np.eye(2), 1e-3) == 1e-3
 
     def test_tiny_tol_is_floored(self):
         assert numerics.scaled_tol(np.eye(2), 1e-30) == 1e-12

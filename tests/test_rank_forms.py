@@ -12,6 +12,7 @@ from grammate.matrix_core import (
     serialize_matrix,
 )
 from grammate.numerics import svd
+from grammate.oracle import enumerate_gram_pairs
 from grammate.rank_forms import (
     M_INDEX_NAMES,
     NotConvertibleError,
@@ -45,6 +46,16 @@ def J(m, n):
 
 def Z(m, n):
     return np.zeros((m, n), dtype=np.int8)
+
+
+# one zero-sum rank-2 index tuple per form
+ZERO_SUM_FORMS = {
+    "M1": dict(k=1, l=2, a=1, b=2),
+    "M2": dict(k=1, l=2, e=1, f=1, g=2, h=2),
+    "M3": dict(k=1, l=2, a=1, b=1, c=1, d=1, e=2, f=2),
+    "M4": dict(k=1, l=2, a=1, b=0, c=0, d=1, e=1, f=1, g=1, h=1),
+    "M5": dict(k=2, l=1, p=0, q=1, r=1, s=2, a=2, b=1, c=0, d=1, e=1, f=2),
+}
 
 
 class TestClassifyRank1:
@@ -183,9 +194,9 @@ class TestClassifyRank2:
         f = classify_rank2(et)
         assert f.mtype == "M3" and f.transposed and f.as_dict() == idx
 
-    def test_padded_and_permuted(self):
-        idx = {"k": 1, "l": 2, "a": 1, "b": 0, "c": 0, "d": 1, "e": 1, "f": 1, "g": 1, "h": 1}
-        core = canonical_rank2_E("M4", idx).data
+    @pytest.mark.parametrize("mtype", sorted(ZERO_SUM_FORMS))
+    def test_padded_and_permuted(self, mtype):
+        core = canonical_rank2_E(mtype, ZERO_SUM_FORMS[mtype]).data
         full = np.zeros((core.shape[0] + 2, core.shape[1] + 1), dtype=np.int8)
         full[: core.shape[0], : core.shape[1]] = core
         rng = np.random.default_rng(3)
@@ -193,9 +204,9 @@ class TestClassifyRank2:
         q = Permutation(tuple(rng.permutation(full.shape[1]).tolist()))
         shuffled = apply_perms(SignedMatrix(full), p, q)
         f = classify_rank2(shuffled)
-        # the labeling may differ from idx by a symmetry of the form, but it
+        # the labeling may differ from the tuple by a symmetry of the form, but it
         # must describe the shuffled matrix exactly
-        assert f.mtype == "M4"
+        assert f.mtype == mtype
         assert reconstruct_E(f) == shuffled
 
     def test_classification_idempotent(self):
@@ -220,6 +231,21 @@ class TestClassifyRank2:
                 col_perm=Permutation.identity(4),
                 transposed=False,
             )
+
+
+# every rank-2 difference of a Gram pair at these shapes: 3,528 pairs
+GRAM_PAIR_SHAPES = ((3, 3), (3, 4), (4, 3), (4, 4), (2, 5), (3, 5), (5, 3))
+
+
+def test_form_counts_over_gram_pair_differences():
+    counts = dict.fromkeys(M_INDEX_NAMES, 0)
+    for m, n in GRAM_PAIR_SHAPES:
+        for pair in enumerate_gram_pairs(m, n, diff_rank=2):
+            E = pair.diff()
+            form = classify_rank2(E)
+            assert reconstruct_E(form) == E
+            counts[form.mtype] += 1
+    assert counts == {"M1": 36, "M2": 216, "M3": 576, "M4": 0, "M5": 2700}
 
 
 class TestRank2Realizable:
