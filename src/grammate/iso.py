@@ -10,6 +10,16 @@ case needs no colours, as every witness there is a pair of involutions (a
 theorem, not a restriction of the search).  The search has an explicit node
 cap; exceeding it yields the string "undecided (cap)", never a wrong
 verdict.
+
+Candidates are first filtered by Gram-row fingerprints, which mates share
+(AA^T = BB^T).  So at its first dead end the search refines row and column
+colours of both matrices together (Weisfeiler-Leman colour refinement of
+the bipartite graph, as in McKay and Piperno, "Practical graph
+isomorphism, II", 2014) and restarts once on the refined colours.  The
+refined colours are invariants, so the search stays complete; they are
+64-bit hashes, and a collision only merges two classes.  On the 49x49
+Kronecker pairs of the 7x7 rank-1 example this takes 98 and 49 nodes
+instead of about 195k and 390k.
 """
 
 from __future__ import annotations
@@ -31,6 +41,10 @@ NON_ISOMORPHIC = "non-isomorphic"
 
 class CapExceeded(Exception):
     pass
+
+
+class _DeadEnd(Exception):
+    """The unrefined search failed for the first time."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,53 @@ def remaining_context(pair: GramPair) -> RemainingContext:
     )
 
 
+# splitmix64's finaliser constants: fixed odd multipliers, so nothing is
+# drawn or built at import
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """A fixed scrambling of uint64 colours (splitmix64), wrapping mod 2^64."""
+    x = x + _GOLDEN
+    x = (x ^ (x >> 30)) * _MUL1
+    x = (x ^ (x >> 27)) * _MUL2
+    return x ^ (x >> 31)
+
+
+def _classes(x: np.ndarray) -> int:
+    """The number of distinct values in x (np.unique would import numpy.ma,
+    about 10 ms, on its first call in a process)."""
+    s = np.sort(x, axis=None)
+    return int(s.size > 0) + int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def _refine(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Joint colour refinement of the rows and columns of a and b.
+
+    rows is (2, m) and cols (2, n): the starting colours of a's and b's rows
+    and columns, one numbering for both sides.  Each round a row's colour
+    becomes a mix of its old colour and the sum of mixed colours of the
+    columns where it has a 1; then columns do the same over rows.  Rounds
+    stop when the number of classes stops growing.  Returns the refined
+    (rows, cols), or None when a's and b's colour multisets differ.
+    """
+    ab = np.stack([a, b]).astype(np.uint64)
+    classes = _classes(rows) + _classes(cols)
+    while True:
+        rows = _mix(rows * _MUL2 + (ab @ _mix(cols)[:, :, None])[:, :, 0])
+        cols = _mix(cols * _MUL2 + (_mix(rows)[:, None, :] @ ab)[:, 0, :])
+        grown = _classes(rows) + _classes(cols)
+        if grown <= classes:
+            break
+        classes = grown
+    for side in (rows, cols):
+        if not np.array_equal(np.sort(side[0]), np.sort(side[1])):
+            return None
+    return rows, cols
+
+
 def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_colour=None):
     """A complete search for B = PAQ with P and Q preserving the given colours.
 
@@ -107,6 +168,20 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
     placed; the Gram diagonal of a (0,1) matrix is its row sums.  A complete
     row map is closed by matching columns on (colour, content).  Returns an
     IsoWitness, NON_ISOMORPHIC or UNDECIDED.
+
+    At the first dead end (a row with no consistent candidate left, or a
+    complete row map that no column map closes) the rows and columns of a
+    and b are refined together (_refine) and the placement starts again
+    once, with candidates of the same refined colour; nodes of both passes
+    count against the cap.  Refined colours are isomorphism invariants, so
+    every isomorphism maps each row and column to one of its own refined
+    colour: the restriction drops no witness, the search stays complete,
+    and colour multisets that differ prove non-isomorphism.  A hash
+    collision merges two classes, which only weakens the pruning.
+    Refinement waits for a dead end because most calls never reach one:
+    of the 6,396 calls in one round of the iso-search benchmark (seed 1),
+    5,094 finish within m nodes, and refining every call raised the median
+    call from 76 to 146 us (process time).
     """
     m, n = a.shape
     row_colour = row_colour or (0,) * m
@@ -119,11 +194,22 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
     fa, fb = fingerprints(ga), fingerprints(gb)
     if sorted(fa) != sorted(fb):
         return NON_ISOMORPHIC
-    cand = [[r for r in range(m) if fb[r] == fa[i]] for i in range(m)]
-    b_cols = [(col_colour[j], b[:, j].tobytes()) for j in range(n)]
+    ids = {f: k for k, f in enumerate(set(fa))}
+    rows = [[ids[f] for f in fa], [ids[f] for f in fb]]
+    cols = [list(col_colour), list(col_colour)]
+
+    def keyed(rows, cols):
+        """Candidate rows of b for each row of a, and b's column pool keys."""
+        by_colour: dict[int, list[int]] = {}
+        for r, c in enumerate(rows[1]):
+            by_colour.setdefault(c, []).append(r)
+        return [by_colour[c] for c in rows[0]], [(cols[1][j], b[:, j].tobytes()) for j in range(n)]
+
+    cand, b_cols = keyed(rows, cols)
     rho = [-1] * m
     used = [False] * m
     left = node_cap
+    refined = False
 
     def close():
         """A column map for the complete row map rho, as a witness, or None."""
@@ -134,20 +220,24 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
             pool.setdefault(b_cols[j], []).append(j)
         gamma = []
         for j in range(n):
-            js = pool.get((col_colour[j], t[:, j].tobytes()))
+            js = pool.get((cols[0][j], t[:, j].tobytes()))
             if not js:
                 return None
             gamma.append(js.pop())
         P = Permutation(tuple(rho))
         Q = Permutation(tuple(gamma)).inverse()
-        if not (P.matrix().int64() @ a @ Q.matrix().int64() == b).all():
+        # (PAQ)[P(i), j] = A[i, Q(j)]
+        if not (b[list(P.image), :] == a[:, list(Q.image)]).all():
             raise RuntimeError("isomorphism witness does not map A to B")
         return IsoWitness(P=P, Q=Q)
 
     def place(i):
         nonlocal left
         if i == m:
-            return close()
+            found = close()
+            if found is None and not refined:
+                raise _DeadEnd
+            return found
         gi = ga[i]
         for r in cand[i]:
             if used[r]:
@@ -163,10 +253,22 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
             if found is not None:
                 return found
             rho[i], used[r] = -1, False
+        if not refined:
+            raise _DeadEnd
         return None
 
     try:
-        found = place(0)
+        try:
+            found = place(0)
+        except _DeadEnd:
+            colours = _refine(a, b, np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
+            if colours is None:
+                return NON_ISOMORPHIC
+            rows, cols = (c.tolist() for c in colours)
+            cand, b_cols = keyed(rows, cols)
+            used = [False] * m
+            refined = True
+            found = place(0)
     except CapExceeded:
         return UNDECIDED
     return NON_ISOMORPHIC if found is None else found

@@ -1,9 +1,13 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grammate import oracle
+from grammate.combinators import kron_pair, kron_swap
 from grammate.gram import is_gram_pair
 from grammate.iso import (
     NON_ISOMORPHIC,
@@ -230,3 +234,101 @@ class TestBruteForce:
             assert is_fixable(ctx) is truth
             verdicts.add(truth)
         assert verdicts == {True, False}
+
+
+def _exact(w, a, b):
+    return bool((w.P.matrix().int64() @ a @ w.Q.matrix().int64() == b).all())
+
+
+def _vf2(a, b):
+    """networkx VF2 on the bipartite graphs of a and b, rows and columns coloured apart."""
+    def graph(x):
+        g = nx.Graph()
+        g.add_nodes_from((("r", i) for i in range(x.shape[0])), side=0)
+        g.add_nodes_from((("c", j) for j in range(x.shape[1])), side=1)
+        g.add_edges_from((("r", int(i)), ("c", int(j))) for i, j in zip(*np.nonzero(x)))
+        return g
+
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        graph(a), graph(b), node_match=lambda u, v: u["side"] == v["side"])
+    return matcher.is_isomorphic()
+
+
+class TestRefinement:
+    """Colour refinement at the first dead end decides pairs the Gram rows cannot split."""
+
+    def test_kron_swap_49x49_witness_within_cap(self, rank1_example):
+        A, B, _ = rank1_example
+        p = kron_swap(is_gram_pair(A, B))
+        w = are_isomorphic(p.A, p.B, node_cap=1000)
+        assert isinstance(w, IsoWitness) and _exact(w, p.A.int64(), p.B.int64())
+
+    def test_kron_pair_49x49_refuted_within_cap(self, rank1_example):
+        A, B, _ = rank1_example
+        pair = is_gram_pair(A, B)
+        p = kron_pair(pair, pair)
+        assert are_isomorphic(p.A, p.B, node_cap=1000) == NON_ISOMORPHIC
+        assert not _vf2(p.A.int64(), p.B.int64())
+
+    def test_both_passes_count_against_the_cap(self, rank1_example):
+        # the first pass places all 49 rows before no column map closes it;
+        # the refined pass needs 49 more, so 60 nodes cannot suffice
+        A, B, _ = rank1_example
+        p = kron_swap(is_gram_pair(A, B))
+        assert are_isomorphic(p.A, p.B, node_cap=60) == UNDECIDED
+
+
+@st.composite
+def _binary(draw, low=1):
+    """A (0,1) matrix up to 8x8.  Half the draws are regular (a union of
+    cyclic shifts, relabelled): there the Gram fingerprints often agree and
+    the search has to refine."""
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 8))
+        shifts = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m - 2, unique=True))
+        a = sum(np.roll(np.eye(m, dtype=np.int64), s, axis=1) for s in shifts)
+        return a[draw(st.permutations(range(m)))][:, draw(st.permutations(range(m)))]
+    m, n = draw(st.integers(low, 8)), draw(st.integers(low, 8))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))
+    return np.array(bits, dtype=np.int64).reshape(m, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_relabelled_copy_always_has_a_witness(data):
+    a = data.draw(_binary())
+    m, n = a.shape
+    p, q = data.draw(st.permutations(range(m))), data.draw(st.permutations(range(n)))
+    b = np.empty_like(a)
+    b[np.ix_(p, q)] = a
+    w = are_isomorphic(BinaryMatrix(a.astype(np.int8)), BinaryMatrix(b.astype(np.int8)))
+    assert isinstance(w, IsoWitness) and _exact(w, a, b)
+
+
+def test_switch_pairs_agree_with_vf2():
+    """A 2x2 checkerboard swapped keeps every row and column sum; VF2 is the reference."""
+    seen = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        a = data.draw(_binary(low=2))
+        m, n = a.shape
+        boards = [(i, j, k, l) for i, j in itertools.permutations(range(m), 2)
+                  for k, l in itertools.permutations(range(n), 2)
+                  if a[i, k] == a[j, l] == 1 and a[i, l] == a[j, k] == 0]
+        assume(boards)
+        i, j, k, l = data.draw(st.sampled_from(boards))
+        b = a.copy()
+        b[[i, i, j, j], [k, l, k, l]] = 1 - b[[i, i, j, j], [k, l, k, l]]
+        w = are_isomorphic(BinaryMatrix(a.astype(np.int8)), BinaryMatrix(b.astype(np.int8)))
+        truth = _vf2(a, b)
+        assert isinstance(w, IsoWitness) == truth
+        if truth:
+            assert _exact(w, a, b)
+        else:
+            assert w == NON_ISOMORPHIC
+        seen.add(truth)
+
+    check()
+    assert seen == {True, False}
