@@ -19,6 +19,7 @@ from .gram import is_gram_pair, convertibility
 from .matrix_core import (
     BinaryMatrix,
     MatrixFormatError,
+    _in_range,
     _parse_entries,
     load_matrix,
     rank_exact,
@@ -34,8 +35,6 @@ from .rank_forms import (
     rank2_complete,
     rank2_gram_data,
     rank2_realizable,
-    rank2_witness_check,
-    NotConvertibleError,
 )
 
 EXIT_OK = 0
@@ -187,29 +186,24 @@ def cmd_gram_data(args) -> int:
     if form is None:
         print(f"rank {r}, no canonical form")
         return EXIT_NO
-    if r == 1:
-        rep = rank1_gram_data(form)
-    elif not rank2_realizable(form):
+    if r == 2 and not rank2_realizable(form):
         print("not realizable")
         return EXIT_NO
-    elif form.mtype == "M5":
-        if not args.witness:
-            raise UsageError("M5 Gram data needs --witness")
-        witness = _load_binary(args.witness)
-        if witness.shape != E.shape:
+    if args.witness:
+        W = _load_binary(args.witness)
+        if W.shape != E.shape:
             raise UsageError("witness and E differ in shape")
-        res = rank2_witness_check(witness, form)
-        ok, profile = res if isinstance(res, tuple) else (res, None)
-        if not ok or profile is None:
+        sums = W.int64() + E.int64()
+        pair = is_gram_pair(W, BinaryMatrix(sums)) if _in_range(sums, 0, 1) else None
+        if pair is None:
             print("witness rejected")
             return EXIT_NO
-        try:
-            rep = rank2_gram_data(form, profile)
-        except NotConvertibleError:
+        if not convertibility(pair).convertible:
             print("not convertible")
             return EXIT_NO
-    else:
-        rep = rank2_gram_data(form)
+    elif r == 2 and form.mtype == "M5":
+        raise UsageError("M5 Gram data needs --witness")
+    rep = rank1_gram_data(form) if r == 1 else rank2_gram_data(form)
     if args.json:
         _emit_json({"command": "gram-data", "values": [float(v) for v in rep.values],
                     "source": rep.source})
@@ -413,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gram-data", cmd_gram_data,
             help="closed-form Gram singular data of a difference matrix")
     p.add_argument("E")
-    p.add_argument("--witness", default=None)
+    p.add_argument("--witness", default=None,
+                   help="a witness A of E, checked for every form and required for M5; "
+                        "(A, A+E) must be a convertible Gram pair")
     p.add_argument("--json", action="store_true")
 
     p = add("urs", cmd_urs, help="binary matrix with given row and column sums")

@@ -166,34 +166,6 @@ class Permutation:
         return all(self.image[self.image[i]] == i for i in range(self.size))
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Row/column partition sizes of a block layout."""
-
-    row_sizes: tuple[int, ...]
-    col_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        rs = tuple(int(s) for s in self.row_sizes)
-        cs = tuple(int(s) for s in self.col_sizes)
-        if any(s < 0 for s in rs + cs):
-            raise ValueError("block sizes must be >= 0")
-        object.__setattr__(self, "row_sizes", rs)
-        object.__setattr__(self, "col_sizes", cs)
-
-    def row_offsets(self) -> list[int]:
-        off = [0]
-        for s in self.row_sizes:
-            off.append(off[-1] + s)
-        return off
-
-    def col_offsets(self) -> list[int]:
-        off = [0]
-        for s in self.col_sizes:
-            off.append(off[-1] + s)
-        return off
-
-
 def row_sums(M) -> tuple[int, ...]:
     return tuple(int(s) for s in M.int64().sum(axis=1))
 

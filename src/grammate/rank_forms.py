@@ -5,8 +5,8 @@ A realizable difference matrix of rank 1 is permutation equivalent to
 [[J,-J,0],[-J,J,0],[0,0,0]]; rank-2 matrices fall into five block forms
 M1..M5.  This module classifies a given difference matrix into its form,
 decides realizability, completes a form to a concrete witness A (so that
-(A, A+E) is a Gram pair), checks candidate witnesses by the block-sum
-conditions, and produces closed-form Gram singular data.
+(A, A+E) is a Gram pair), and produces closed-form Gram singular data.
+Whether a given A is a witness is gram.is_realizable_witness's question.
 
 Classification is a column-signature lookup.  The live rows of E split
 into sign-normalised patterns (one for rank 1, two or three for rank 2);
@@ -32,7 +32,6 @@ from .matrix_core import (
     BinaryMatrix,
     Permutation,
     SignedMatrix,
-    _in_range,
     apply_perms,
     rank_exact,
 )
@@ -44,10 +43,6 @@ class FormMatchError(RuntimeError):
 
 class NotRealizableError(ValueError):
     """Completion was requested for a non-realizable form."""
-
-
-class NotConvertibleError(ValueError):
-    """Closed-form Gram data requested for a non-convertible M5 witness."""
 
 
 def _perm_from_order(order) -> Permutation:
@@ -162,26 +157,6 @@ def rank1_complete(form: Rank1Form, border_dims=None) -> BinaryMatrix:
     return apply_perms(BinaryMatrix(canon), row_perm.inverse(), col_perm.inverse())
 
 
-def rank1_witness_check(A: BinaryMatrix, form: Rank1Form) -> bool:
-    """Border-sum conditions for (A, A+E) to be a Gram pair."""
-    if A.shape != form.shape:
-        raise ValueError("layout mismatch")
-    k1, k2 = form.k1, form.k2
-    a = apply_perms(A, form.row_perm, form.col_perm).int64()
-    e = canonical_rank1_E(k1, k2, form.shape[0] - 2 * k1, form.shape[1] - 2 * k2).int64()
-    fixed = ((1 - e) // 2)[e != 0]
-    if not (a[e != 0] == fixed).all():
-        return False
-    x1 = a[:k1, 2 * k2 :]
-    x2 = a[k1 : 2 * k1, 2 * k2 :]
-    x3 = a[2 * k1 :, :k2]
-    x4 = a[2 * k1 :, k2 : 2 * k2]
-    result = (x1.sum(axis=0) == x2.sum(axis=0)).all() and (
-        x3.sum(axis=1) == x4.sum(axis=1)
-    ).all()
-    return bool(result)
-
-
 def rank1_gram_data(form: Rank1Form) -> GramSingularReport:
     """Closed-form Gram singular value sqrt(k1*k2) with its vector pair."""
     k1, k2 = form.k1, form.k2
@@ -245,30 +220,8 @@ class Rank2Form:
         if tuple(n for n, _ in self.indices) != M_INDEX_NAMES[self.mtype]:
             raise ValueError("index names do not match the form tag")
 
-    def idx(self, name: str) -> int:
-        return dict(self.indices)[name]
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.indices)
-
-
-@dataclass(frozen=True)
-class Rank2WitnessProfile:
-    """Constant block-sum parameters of an M5 witness (None where the
-    corresponding row/column group is empty)."""
-
-    x1: int | None
-    x2: int | None
-    y1: int | None
-    y2: int | None
-    z1: int | None
-    z2: int | None
-    alpha1: int | None
-    alpha2: int | None
-    beta1: int | None
-    beta2: int | None
-    gamma1: int | None
-    gamma2: int | None
 
 
 def _row_group_sizes(mtype: str, idx: dict[str, int]) -> list[int]:
@@ -422,6 +375,18 @@ def _complete_m4(k, l, a, b, c, d, e, f, g, h) -> np.ndarray:
     return np.vstack([band1, band2, band3, band4])
 
 
+def _as_m4_indices(form: Rank2Form):
+    d = form.as_dict()
+    k, l = d["k"], d["l"]
+    if form.mtype == "M1":
+        return (k, l, d["a"], d["b"], d["b"], d["a"], 0, 0, 0, 0)
+    if form.mtype == "M2":
+        return (k, l, 0, 0, 0, 0, d["e"], d["f"], d["g"], d["h"])
+    if form.mtype == "M3":
+        return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], 0, 0)
+    return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], d["g"], d["h"])
+
+
 def _even_profile(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     """(m1+m2) x (n1+n2) block with signed row sums (n1-n2)/2 and signed
     column sums (m1-m2)/2, allowing zero sub-sizes (pair sums even)."""
@@ -443,44 +408,20 @@ def _even_profile(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     return _even_profile(n1, n2, max(m1, m2), 0).T.copy()
 
 
-def _m5_relabel(d: dict[str, int], root: str) -> dict[str, int]:
-    """Index relabeling that moves the chosen block into the X role."""
-    if root == "X":
-        return dict(d)
-    if root == "Y":
-        k, l, p, q, r, s = d["p"], d["q"], d["k"], d["l"], d["s"], d["r"]
-        a, b, c, dd, e, f = d["a"], d["b"], d["e"], d["f"], d["c"], d["d"]
-    else:
-        k, l, p, q, r, s = d["r"], d["s"], d["k"], d["l"], d["q"], d["p"]
-        a, b, c, dd, e, f = d["c"], d["d"], d["f"], d["e"], d["a"], d["b"]
-    return {"k": k, "l": l, "p": p, "q": q, "r": r, "s": s, "a": a, "b": b, "c": c, "d": dd, "e": e, "f": f}
+# the row and column index names that take the places of klpqrs and abcdef
+# when the given block plays the X role
+_M5_ROOTS = {"X": ("klpqrs", "abcdef"), "Y": ("pqklsr", "abefcd"), "Z": ("rsklqp", "cdfeab")}
 
 
-def _m5_relabel_perms(d: dict[str, int], root: str):
-    """Row/column index maps from original canonical order to the relabeled
-    canonical order."""
-    row_names = ("k", "l", "p", "q", "r", "s")
-    col_names = ("a", "b", "c", "d", "e", "f")
-    if root == "X":
-        row_src, col_src = row_names, col_names
-    elif root == "Y":
-        row_src = ("p", "q", "k", "l", "s", "r")
-        col_src = ("a", "b", "e", "f", "c", "d")
-    else:
-        row_src = ("r", "s", "k", "l", "q", "p")
-        col_src = ("c", "d", "f", "e", "a", "b")
-
-    def block_ranges(names):
-        off, out = 0, {}
-        for nm in names:
-            out[nm] = list(range(off, off + d[nm]))
-            off += d[nm]
-        return out
-
-    rr, cc = block_ranges(row_names), block_ranges(col_names)
-    row_order = [i for nm in row_src for i in rr[nm]]
-    col_order = [j for nm in col_src for j in cc[nm]]
-    return row_order, col_order
+def _m5_relabel(d: dict[str, int], root: str):
+    """Indices that move the root block into the X role, with the row and
+    column maps from the original canonical order to the relabelled one."""
+    relabelled, orders = {}, []
+    for names, src in zip(_M5_ROOTS["X"], _M5_ROOTS[root]):
+        relabelled.update((new, d[old]) for new, old in zip(names, src))
+        start = dict(zip(names, itertools.accumulate((d[n] for n in names), initial=0)))
+        orders.append([i for n in src for i in range(start[n], start[n] + d[n])])
+    return relabelled, *orders
 
 
 def _assemble_m5(d: dict[str, int], X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -650,10 +591,9 @@ def _complete_m5(d: dict[str, int]) -> np.ndarray:
     E = canonical_rank2_E("M5", d)
     sizes = {"X": rows[0], "Y": rows[1], "Z": rows[2]}
     for root in sorted(sizes, key=lambda nm: (sizes[nm], nm)):
-        dr = _m5_relabel(d, root)
+        dr, row_order, col_order = _m5_relabel(d, root)
         cand = _complete_m5_odd_rooted(dr)
         if cand is not None:
-            row_order, col_order = _m5_relabel_perms(d, root)
             out = np.zeros_like(cand)
             out[np.ix_(row_order, col_order)] = cand
             if is_realizable_witness(E, BinaryMatrix(out)):
@@ -669,24 +609,7 @@ def rank2_complete(form: Rank2Form) -> BinaryMatrix:
     if not rank2_realizable(form):
         raise NotRealizableError(f"form {form.mtype} {form.as_dict()} is not realizable")
     d = form.as_dict()
-    if form.mtype == "M1":
-        e = canonical_rank2_E("M1", d).int64()
-        core = ((np.ones_like(e) - e) // 2).astype(np.int8)
-    elif form.mtype == "M2":
-        k, l, e_, g = d["k"], d["l"], d["e"], d["g"]
-        core = np.block(
-            [
-                [_Z(k, e_), _J(k, e_), _Z(k, 2 * g)],
-                [_J(k, e_), _Z(k, e_), _Z(k, 2 * g)],
-                [_Z(2 * l, 2 * e_), np.block([[_Z(l, g), _J(l, g)], [_J(l, g), _Z(l, g)]])],
-            ]
-        )
-    elif form.mtype in ("M3", "M4"):
-        m4 = _as_m4_indices(form)
-        core = _complete_m4(*m4)
-    else:
-        core = _complete_m5(d)
-
+    core = _complete_m5(d) if form.mtype == "M5" else _complete_m4(*_as_m4_indices(form))
     m_can, n_can = form.row_perm.size, form.col_perm.size
     full = np.zeros((m_can, n_can), dtype=np.int8)
     full[: core.shape[0], : core.shape[1]] = core
@@ -716,121 +639,6 @@ def reconstruct_E(form: Rank2Form) -> SignedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rank 2: witness checking
-
-
-def _as_m4_indices(form: Rank2Form):
-    d = form.as_dict()
-    k, l = d["k"], d["l"]
-    if form.mtype == "M1":
-        return (k, l, d["a"], d["b"], d["b"], d["a"], 0, 0, 0, 0)
-    if form.mtype == "M2":
-        return (k, l, 0, 0, 0, 0, d["e"], d["f"], d["g"], d["h"])
-    if form.mtype == "M3":
-        return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], 0, 0)
-    return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], d["g"], d["h"])
-
-
-def _canonical_witness(A: BinaryMatrix, form: Rank2Form):
-    """Map a witness candidate into canonical coordinates; None on a layout
-    or forced-entry violation."""
-    w = A.transpose() if form.transposed else A
-    if (w.rows, w.cols) != (form.row_perm.size, form.col_perm.size):
-        raise ValueError("layout mismatch")
-    a = apply_perms(w, form.row_perm, form.col_perm).int64()
-    d = form.as_dict()
-    pad_r = form.row_perm.size - sum(_row_group_sizes(form.mtype, d))
-    pad_c = form.col_perm.size - sum(d[n] for n in _M_LAYOUT[form.mtype][0])
-    e = canonical_rank2_E(form.mtype, d, pad_r, pad_c).int64()
-    if not _in_range(a + e, 0, 1):
-        return None
-    return a, e
-
-
-def _border_ok(a: np.ndarray, e: np.ndarray, core_m: int, core_n: int) -> bool:
-    # padding rows/columns of E are zero, but their entries of A must not
-    # disturb either Gram product
-    ec = e[:core_m, :core_n]
-    return not (ec @ a[core_m:, :core_n].T).any() and not (ec.T @ a[:core_m, core_n:]).any()
-
-
-def _const_signed_sum(block: np.ndarray, n1: int):
-    """Constant value of (left sum - right sum) over rows, or None."""
-    if block.shape[0] == 0:
-        return None
-    sig = block[:, :n1].sum(axis=1) - block[:, n1:].sum(axis=1)
-    if (sig == sig[0]).all():
-        return int(sig[0])
-    return "nonconstant"
-
-
-def rank2_witness_check(A: BinaryMatrix, form: Rank2Form):
-    """Exact test that (A, A+E) is a Gram pair.
-
-    Returns a boolean for M1-M4 and a (boolean, profile) pair for M5, where
-    the profile carries the constant block sums (None entries for absent
-    groups; no profile when some sum is non-constant). M5 is decided by its
-    block-sum conditions, whose profile rank2_gram_data needs; M1-M4 by
-    the Gram oracle.
-    """
-    canon = _canonical_witness(A, form)
-    if form.mtype != "M5":
-        return canon is not None and is_realizable_witness(reconstruct_E(form), A)
-    if canon is None:
-        return False, None
-    d = form.as_dict()
-    a, e = canon
-    k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
-    ia, ib, ic, id_, ie, if_ = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
-    ro = np.cumsum([0, k, l, p, q, r, s])
-    co = np.cumsum([0, ia, ib, ic, id_, ie, if_])
-    X = a[ro[0] : ro[2], co[4] : co[6]]
-    Y = a[ro[2] : ro[4], co[2] : co[4]]
-    Z = a[ro[4] : ro[6], co[0] : co[2]]
-
-    x1 = _const_signed_sum(X[:k], ie)
-    x2 = _const_signed_sum(X[k:], ie)
-    y1 = _const_signed_sum(Y[:p], ic)
-    y2 = _const_signed_sum(Y[p:], ic)
-    z1 = _const_signed_sum(Z[:r], ia)
-    z2 = _const_signed_sum(Z[r:], ia)
-    a1 = _const_signed_sum(X.T[:ie], k)
-    a2 = _const_signed_sum(X.T[ie:], k)
-    b1 = _const_signed_sum(Y.T[:ic], p)
-    b2 = _const_signed_sum(Y.T[ic:], p)
-    g1 = _const_signed_sum(Z.T[:ia], r)
-    g2 = _const_signed_sum(Z.T[ia:], r)
-    params = (x1, x2, y1, y2, z1, z2, a1, a2, b1, b2, g1, g2)
-    if "nonconstant" in params:
-        ok = False
-        profile = None
-    else:
-        profile = Rank2WitnessProfile(*params)
-
-        def eq(u, v, sign=1):
-            if u is None or v is None:
-                return True
-            return u == sign * v
-
-        def su(u, v, total):
-            if u is None or v is None:
-                return True
-            return u + v == total
-
-        ok = all(
-            [
-                eq(x1, y2), eq(x1, z2, -1), eq(y2, z2, -1),
-                eq(x2, y1), eq(x2, z1, -1), eq(y1, z1, -1),
-                su(x1, x2, ie - if_), su(y1, y2, ie - if_), su(z1, z2, if_ - ie),
-                eq(g1, b2), eq(g1, a2, -1), eq(b2, a2, -1),
-                eq(g2, b1), eq(g2, a1, -1), eq(b1, a1, -1),
-                su(a1, a2, k - l), su(b1, b2, l - k), su(g1, g2, l - k),
-            ]
-        ) and _border_ok(a, e, ro[6], co[6])
-    return ok, profile
-
-
-# ---------------------------------------------------------------------------
 # rank 2: closed-form Gram singular data
 
 
@@ -853,50 +661,18 @@ def _eig2(m11: Fraction, m12: Fraction, m21: Fraction, m22: Fraction):
     return lams, vecs, float(disc)
 
 
-def _x_vectors(form: Rank2Form):
-    d = form.as_dict()
-    if form.mtype == "M5":
-        ia, ib, ic, id_, ie, if_ = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
-        x1 = np.concatenate(
-            [np.ones(ia), -np.ones(ib), np.ones(ic), -np.ones(id_), np.zeros(ie + if_)]
-        )
-        x2 = np.concatenate(
-            [np.ones(ia), -np.ones(ib), np.zeros(ic + id_), np.ones(ie), -np.ones(if_)]
-        )
-        return x1, x2
-    k, l, ia, ib, ic, id_, ie, if_, ig, ih = _as_m4_indices(form)
-    x1 = np.concatenate(
-        [np.ones(ia), np.ones(ib), -np.ones(ic), -np.ones(id_), np.ones(ie), -np.ones(if_), np.zeros(ig + ih)]
-    )
-    x2 = np.concatenate(
-        [np.ones(ia), -np.ones(ib), np.ones(ic), -np.ones(id_), np.zeros(ie + if_), np.ones(ig), -np.ones(ih)]
-    )
-    return x1, x2
+def rank2_gram_data(form: Rank2Form) -> GramSingularReport:
+    """Closed-form singular values and vectors of E/2, from the form's indices.
 
-
-def rank2_gram_data(form: Rank2Form, profile: Rank2WitnessProfile | None = None) -> GramSingularReport:
-    """Closed-form Gram singular values and vectors.
-
-    For M1-M4 the closed form describes the pair (A, A+E) with A the
-    witness from rank2_complete, which is convertible; other witnesses of
-    the same form need not be (an M2 one is not).  For M5 a witness profile
-    is required and must satisfy the constant-sum convertibility criterion.
+    They are the Gram singular data of (A, A+E) for every witness A whose
+    pair is convertible (gram.convertibility); the form alone does not decide
+    whether a given witness is.  The rank2_complete witness is convertible
+    for M1-M4 but not always for M5: of the 2,145 M5 forms with indices at
+    most 3, 296 complete to a pair that is not convertible.  The vectors
+    satisfy (-E/2) v = sigma u.
     """
     d = form.as_dict()
     if form.mtype == "M5":
-        if profile is None:
-            raise ValueError("M5 Gram data needs a witness profile")
-        targets = [
-            (profile.x1, d["e"] - d["f"]), (profile.x2, d["e"] - d["f"]),
-            (profile.y1, d["c"] - d["d"]), (profile.y2, d["c"] - d["d"]),
-            (profile.z1, d["a"] - d["b"]), (profile.z2, d["a"] - d["b"]),
-            (profile.alpha1, d["k"] - d["l"]), (profile.alpha2, d["k"] - d["l"]),
-            (profile.beta1, d["p"] - d["q"]), (profile.beta2, d["p"] - d["q"]),
-            (profile.gamma1, d["r"] - d["s"]), (profile.gamma2, d["r"] - d["s"]),
-        ]
-        defined = [(val, diff) for val, diff in targets if val is not None]
-        if not all(2 * val == diff for val, diff in defined):
-            raise NotConvertibleError("witness profile fails the constant-sum criterion")
         k, l, p, q, r, s = (Fraction(d[n]) for n in ("k", "l", "p", "q", "r", "s"))
         ia, ib, ic, id_, ie, if_ = (Fraction(d[n]) for n in ("a", "b", "c", "d", "e", "f"))
         m11 = l * (ia + ic) + s * (ic + id_) / 2 + (k - l) * (ia + ib) / 4
@@ -913,7 +689,9 @@ def rank2_gram_data(form: Rank2Form, profile: Rank2WitnessProfile | None = None)
     lams, zetas, disc = _eig2(m11, m12, m21, m22)
     if any(lam <= 0 for lam in lams):
         raise RuntimeError("closed-form eigenvalues must be positive for rank 2")
-    x1, x2 = _x_vectors(form)
+    # the first two basis patterns of the layout, over the column groups
+    col_names, pats = _M_LAYOUT[form.mtype]
+    x1, x2 = (np.repeat(np.array(pat, dtype=np.float64), [d[n] for n in col_names]) for pat in pats[:2])
     if disc == 0.0:
         # repeated value: orthonormalize within the span
         v1 = x1 / np.linalg.norm(x1)

@@ -174,6 +174,11 @@ class TestComplete:
         assert cli(capsys, "complete", str(p)) == (3, "not realizable\n")
 
 
+# an M2 form and a witness of it whose pair is not convertible
+_M2_E = canonical_rank2_E("M2", dict(k=1, l=1, e=1, f=1, g=1, h=1))
+_M2_OTHER_WITNESS = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.int8)
+
+
 def _save_sum(tmp_path, A, E):
     B = BinaryMatrix((A.int64() + E.int64()).astype(np.int8))
     p = tmp_path / "B.mtxt"
@@ -217,6 +222,22 @@ class TestGramData:
         pe, pa = self._m5(tmp_path, dict(k=2, l=1, p=3, q=4, r=3, s=4,
                                          a=4, b=3, c=3, d=4, e=1, f=2))
         assert cli(capsys, "gram-data", pe, "--witness", pa) == (3, "not convertible\n")
+
+    def test_rank1_with_witness(self, capsys):
+        assert cli(capsys, "gram-data", E7, "--witness", A7) == (
+            0, "gram singular values: 2\nsource: closed_form_rank1\n")
+
+    @pytest.mark.parametrize("witness, expected", [
+        (_M2_OTHER_WITNESS, (3, "not convertible\n")),
+        (np.zeros((4, 4), dtype=np.int8), (3, "witness rejected\n")),
+    ], ids=["not-convertible", "not-a-witness"])
+    def test_m2_witness_is_checked(self, capsys, tmp_path, witness, expected):
+        # the closed form describes convertible pairs only; the first witness
+        # gives a Gram pair that is not convertible, the second no Gram pair
+        pe, pw = tmp_path / "E.mtxt", tmp_path / "W.mtxt"
+        save_matrix(_M2_E, pe)
+        save_matrix(BinaryMatrix(witness), pw)
+        assert cli(capsys, "gram-data", str(pe), "--witness", str(pw)) == expected
 
     def test_not_realizable_agrees_with_classify(self, capsys, tmp_path):
         # an M4 form with a=0 whose e-f and g-h parities rule out a witness
@@ -418,10 +439,15 @@ _FORM_MATRICES = [canonical_rank2_E(m, idx) for m, idx in [
     ("M1", dict(k=1, l=1, a=1, b=1)),
 ]]
 _FORMS = [_text(E.data) for E in _FORM_MATRICES] + [
-    _fixture_text("ex_rank1_E.mtxt"), _fixture_text("ex_same_entries_E.mtxt")]
-# completed witnesses of the realizable forms, for --witness
+    _fixture_text("ex_rank1_E.mtxt"), _fixture_text("ex_same_entries_E.mtxt"), _text(_M2_E.data)]
+# completed witnesses of the realizable forms, the rank-1 fixture's witness
+# (convertible) and another M2 witness (not convertible), for --witness
 _WITNESSES = [_text(rank2_complete(f).data)
-              for f in map(classify_rank2, _FORM_MATRICES) if rank2_realizable(f)]
+              for f in map(classify_rank2, _FORM_MATRICES) if rank2_realizable(f)] + [
+    _fixture_text("ex_rank1_A.mtxt"), _text(_M2_OTHER_WITNESS)]
+# each witness with each form of its shape, so that the witness check runs
+_SAME_SHAPE = [(e, w) for w in _WITNESSES for e in _FORMS
+               if e.split("\n", 1)[0] == w.split("\n", 1)[0]]
 
 
 def _small(entries):
@@ -476,7 +502,9 @@ def _invocation(draw, command):
         if draw(st.booleans()):
             argv += option
     if "{dir}/W.mtxt" in argv:
-        files["W.mtxt"] = draw(st.one_of(st.sampled_from(_WITNESSES), _MATRIX_TEXT))
+        files["E.mtxt"], files["W.mtxt"] = draw(st.one_of(
+            st.sampled_from(_SAME_SHAPE),
+            st.tuples(st.just(files["E.mtxt"]), st.one_of(st.sampled_from(_WITNESSES), _MATRIX_TEXT))))
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
     return argv, files

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from grammate.matrix_core import (
     BinaryMatrix,
-    BlockSpec,
     MatrixFormatError,
     Permutation,
     SignedMatrix,
@@ -125,17 +124,6 @@ class TestPermutation:
         m = BinaryMatrix((np.arange(20).reshape(5, 4) % 2).astype(np.int8))
         back = apply_perms(apply_perms(m, p, q), p.inverse(), q.inverse())
         assert back == m
-
-
-class TestBlockSpec:
-    def test_offsets(self):
-        b = BlockSpec((2, 0, 3), (1, 4))
-        assert b.row_offsets() == [0, 2, 2, 5]
-        assert b.col_offsets() == [0, 1, 5]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            BlockSpec((-1,), (1,))
 
 
 class TestMtxtFormat:
