@@ -11,13 +11,12 @@ cross-checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .matrix_core import BinaryMatrix, SignedMatrix, col_sums, rank_exact, row_sums
+from .matrix_core import BinaryMatrix, SignedMatrix, _pivot_rows, col_sums, rank_exact, row_sums
 
 CHECK_NAMES = (
     "sum_times_diffT_zero",
@@ -96,27 +95,6 @@ def embed_check(E_tilde: SignedMatrix, X1, X2) -> bool:
     return not (e @ x2.T).any() and not (e.T @ x1).any()
 
 
-def _row_basis(D: np.ndarray, rank: int) -> np.ndarray:
-    """The first `rank` independent rows of integer matrix D: an exact basis
-    of its row space, found by fraction-free elimination, not by any SVD."""
-    chosen: list[int] = []
-    reduced: list[list[int]] = []
-    pivots: list[int] = []
-    for idx, r in enumerate(D.tolist()):
-        for b, p in zip(reduced, pivots):
-            if r[p]:
-                r = [b[p] * x - r[p] * y for x, y in zip(r, b)]
-        p = next((j for j, x in enumerate(r) if x), None)
-        if p is not None:
-            g = math.gcd(*r)
-            chosen.append(idx)
-            reduced.append([x // g for x in r])
-            pivots.append(p)
-            if len(chosen) == rank:
-                break
-    return D[chosen]
-
-
 def _span_residual(B: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Residual of each column of X after projection onto the row space of
     B, whose rows are independent."""
@@ -165,10 +143,9 @@ def convertibility(pair: GramPair, tol: float | None = None) -> ConvertibilityRe
     def small(residual: np.ndarray) -> bool:
         return bool(np.abs(residual).max() <= t)
 
-    k = pair.diff_rank
     sign_flip = small(a @ V - U * sv) and small(a.T @ U - V * sv)
-    right_null = small(s @ V) and small(_span_residual(_row_basis(d, k), V))
-    left_null = small(s.T @ U) and small(_span_residual(_row_basis(d.T, k), U))
+    right_null = small(s @ V) and small(_span_residual(d[_pivot_rows(d)], V))
+    left_null = small(s.T @ U) and small(_span_residual(d.T[_pivot_rows(d.T)], U))
     checks["sign_flip_recovers_mate"] = sign_flip
     checks["right_vectors_null"] = right_null
     checks["left_vectors_null"] = left_null

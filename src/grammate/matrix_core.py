@@ -174,32 +174,51 @@ def col_sums(M) -> tuple[int, ...]:
     return tuple(int(s) for s in M.int64().sum(axis=0))
 
 
-def rank_exact(E) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination.
+# Bareiss step k forms piv*a - a[:, c]*a[r] from k-minors of a {-1,0,1}
+# matrix, each at most k**(k/2) by Hadamard's bound, so at most 2*k**k
+# before dividing.  That is below 2**63 while k <= 15; later steps run on
+# Python ints.
+_INT64_STEPS = 15
 
-    Runs on Python ints, so intermediates are exact at any size.
+
+def _pivot_rows(d: np.ndarray) -> list[int]:
+    """The rows of {-1,0,1} matrix d that are independent of the rows before
+    them, ascending: an exact basis of its row space.
+
+    Bareiss fraction-free elimination with full pivoting.  Each step pivots
+    on the first nonzero entry in row-major order and updates the whole
+    matrix at once; the pivot row and column become zero, so the loop runs
+    once per unit of rank.
     """
-    a = [[int(x) for x in row] for row in E.data]
-    m, n = len(a), len(a[0])
-    rank = 0
+    a = d.astype(np.int64)
+    rows: list[int] = []
     prev = 1
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            a[row], a[pivot] = a[pivot], a[row]
-        for r in range(row + 1, m):
-            for c in range(col + 1, n):
-                a[r][c] = (a[row][col] * a[r][c] - a[r][col] * a[row][c]) // prev
-            a[r][col] = 0
-        prev = a[row][col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+    while True:
+        rs, cs = a.nonzero()
+        if not len(rs):
+            return rows
+        r, c = int(rs[0]), int(cs[0])
+        piv = int(a[r, c])
+        if len(rows) == _INT64_STEPS:
+            a = a.astype(object)
+        b = a * piv
+        b -= a[:, c, None] * a[r]
+        b //= prev
+        a, prev = b, piv
+        rows.append(r)
+
+
+def rank_exact(E) -> int:
+    """Rank over the rationals of a BinaryMatrix or SignedMatrix.
+
+    Bareiss elimination with full pivoting: each pivot is one whole-matrix
+    numpy update, so the cost is rank + 1 passes over the m x n entries.
+    The first 15 steps run in int64, which the {-1,0,1} alphabet keeps
+    exact; later steps run on Python ints, so the rank is exact at any size.
+    """
+    if not isinstance(E, (BinaryMatrix, SignedMatrix)):
+        raise TypeError(f"rank_exact needs a BinaryMatrix or SignedMatrix, not {type(E).__name__}")
+    return len(_pivot_rows(E.data))
 
 
 def apply_perms(M, P: Permutation, Q: Permutation):

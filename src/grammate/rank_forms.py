@@ -115,12 +115,11 @@ def classify_rank1(E: SignedMatrix):
     a = E.int64()
     if not a.any():
         raise ValueError("E must be nonzero")
-    if rank_exact(E) != 1:
-        return None
     if a.sum(axis=1).any() or a.sum(axis=0).any():
         return None
     plus, minus, groups, zero_rows, zero_cols = _pattern_split(a)
     cplus, cminus = groups.get((1,), []), groups.get((-1,), [])
+    # a nonzero {-1,0,1} matrix has one row pattern exactly when its rank is 1
     if len(plus) != 1 or len(plus[0]) != len(minus[0]) or len(cplus) != len(cminus):
         return None
     form = Rank1Form(

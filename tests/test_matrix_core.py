@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from grammate.matrix_core import (
     MatrixFormatError,
     Permutation,
     SignedMatrix,
+    _pivot_rows,
     apply_perms,
     col_sums,
     parse_matrix,
@@ -93,6 +96,71 @@ class TestRankExact:
     def test_matches_numpy(self, rows):
         a = np.array(rows)
         assert rank_exact(SignedMatrix(a)) == np.linalg.matrix_rank(a.astype(float))
+        assert _pivot_rows(a) == _greedy_rows(a)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_sylvester_hadamard(self, k):
+        # H16 and H32 have the largest minors of their size and run past the
+        # int64 steps onto Python ints
+        h = np.array([[1]])
+        for _ in range(k):
+            h = np.block([[h, h], [h, -h]])
+        assert rank_exact(SignedMatrix(h)) == 2**k
+        assert _pivot_rows(h) == _greedy_rows(h) == list(range(2**k))
+
+    @pytest.mark.parametrize("shape", [(40, 40), (40, 31), (23, 40), (16, 16), (2, 40), (40, 3)])
+    def test_random_signs(self, shape):
+        a = np.random.default_rng(sum(shape)).choice([-1, 1], shape)
+        rows = _greedy_rows(a)
+        assert rank_exact(SignedMatrix(a)) == len(rows)
+        assert _pivot_rows(a) == rows
+
+    @pytest.mark.parametrize("r", [14, 15, 16, 17])
+    def test_low_rank_products(self, r):
+        # each row is a row of the (0,1) factor y, or the difference of two,
+        # so the product is already in {-1,0,1} and has rank at most r
+        # (clipping a dense product instead would make it full rank)
+        rng = np.random.default_rng(r)
+        i, j = rng.integers(0, r, (2, 40))
+        x = np.eye(r, dtype=int)[i] - np.eye(r, dtype=int)[j] * (rng.random((40, 1)) < 0.6)
+        a = x @ rng.integers(0, 2, (r, 30))
+        rows = _greedy_rows(a)
+        assert r - 1 <= len(rows) <= r
+        assert rank_exact(SignedMatrix(a)) == len(rows)
+        assert _pivot_rows(a) == rows
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros((4, 6), int), np.zeros((1, 5), int), np.zeros((5, 1), int),
+         np.array([[0, 1, -1, 0]]), np.array([[0], [0], [-1], [1]]), np.array([[1]])],
+    )
+    def test_degenerate_shapes(self, a):
+        rows = _greedy_rows(a)
+        assert rank_exact(SignedMatrix(a)) == len(rows)
+        assert _pivot_rows(a) == rows
+
+    def test_needs_a_matrix_type(self):
+        for bad in (np.eye(3, dtype=int), [[1, 0], [0, 1]]):
+            with pytest.raises(TypeError):
+                rank_exact(bad)
+
+
+def _greedy_rows(a: np.ndarray) -> list[int]:
+    """Indices of the rows of a independent of the rows before them, by
+    Gaussian elimination over Fractions."""
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot column, row with 1 there)
+    rows = []
+    for i, row in enumerate(a.tolist()):
+        v = [Fraction(x) for x in row]
+        for p, b in basis:
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, b)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            basis.append((p, [x / v[p] for x in v]))
+            rows.append(i)
+    return rows
 
 
 class TestPermutation:
