@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .matrix_core import BinaryMatrix, SignedMatrix, _pivot_rows, col_sums, rank_exact, row_sums
+from .matrix_core import BinaryMatrix, SignedMatrix, _pivots, col_sums, rank_exact, row_sums
 
 CHECK_NAMES = (
     "sum_times_diffT_zero",
@@ -144,8 +144,9 @@ def convertibility(pair: GramPair, tol: float | None = None) -> ConvertibilityRe
         return bool(np.abs(residual).max() <= t)
 
     sign_flip = small(a @ V - U * sv) and small(a.T @ U - V * sv)
-    right_null = small(s @ V) and small(_span_residual(d[_pivot_rows(d)], V))
-    left_null = small(s.T @ U) and small(_span_residual(d.T[_pivot_rows(d.T)], U))
+    rows, cols = _pivots(d)
+    right_null = small(s @ V) and small(_span_residual(d[rows], V))
+    left_null = small(s.T @ U) and small(_span_residual(d.T[cols], U))
     checks["sign_flip_recovers_mate"] = sign_flip
     checks["right_vectors_null"] = right_null
     checks["left_vectors_null"] = left_null

@@ -181,22 +181,25 @@ def col_sums(M) -> tuple[int, ...]:
 _INT64_STEPS = 15
 
 
-def _pivot_rows(d: np.ndarray) -> list[int]:
-    """The rows of {-1,0,1} matrix d that are independent of the rows before
-    them, ascending: an exact basis of its row space.
+def _pivots(d: np.ndarray) -> tuple[list[int], list[int]]:
+    """(rows, cols) of the pivots of {-1,0,1} matrix d: exact bases of its
+    row space and of its column space.
 
     Bareiss fraction-free elimination with full pivoting.  Each step pivots
     on the first nonzero entry in row-major order and updates the whole
     matrix at once; the pivot row and column become zero, so the loop runs
-    once per unit of rank.
+    once per unit of rank.  The rows ascend and are the rows independent of
+    the rows before them.  The cols come in pivot order; d[rows][:, cols]
+    is nonsingular, so they are independent and as many as the rank.
     """
     a = d.astype(np.int64)
     rows: list[int] = []
+    cols: list[int] = []
     prev = 1
     while True:
         rs, cs = a.nonzero()
         if not len(rs):
-            return rows
+            return rows, cols
         r, c = int(rs[0]), int(cs[0])
         piv = int(a[r, c])
         if len(rows) == _INT64_STEPS:
@@ -206,6 +209,7 @@ def _pivot_rows(d: np.ndarray) -> list[int]:
         b //= prev
         a, prev = b, piv
         rows.append(r)
+        cols.append(c)
 
 
 def rank_exact(E) -> int:
@@ -218,7 +222,7 @@ def rank_exact(E) -> int:
     """
     if not isinstance(E, (BinaryMatrix, SignedMatrix)):
         raise TypeError(f"rank_exact needs a BinaryMatrix or SignedMatrix, not {type(E).__name__}")
-    return len(_pivot_rows(E.data))
+    return len(_pivots(E.data)[0])
 
 
 def apply_perms(M, P: Permutation, Q: Permutation):

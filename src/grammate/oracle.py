@@ -7,6 +7,7 @@ harness that replays the library's invariants against enumerated corpora.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,13 +39,19 @@ class EnumerationReport:
     violations: tuple[str, ...] = ()
 
 
-def _decode(code: int, m: int, n: int) -> np.ndarray:
-    bits = (code >> np.arange(m * n)) & 1
-    return bits.reshape(m, n).astype(np.int8)
+_BLOCK = 1 << 16  # codes decoded per numpy pass; bounds the scan's temporaries
 
 
-def _fingerprint(a64: np.ndarray) -> bytes:
-    return (a64 @ a64.T).tobytes() + b"|" + (a64.T @ a64).tobytes()
+def _bits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The m x n (0,1) matrices of the codes; bit t is flat position t."""
+    return ((codes[:, None] >> np.arange(m * n)) & 1).astype(np.int8).reshape(-1, m, n)
+
+
+def _sums_match(sums: np.ndarray, want: tuple) -> np.ndarray:
+    """Mask of the rows of sums that equal want; all False on a length mismatch."""
+    if len(want) != sums.shape[1]:
+        return np.zeros(len(sums), dtype=bool)
+    return np.logical_and.reduce([sums[:, i] == v for i, v in enumerate(want)])
 
 
 def enumerate_gram_pairs(
@@ -57,8 +64,10 @@ def enumerate_gram_pairs(
 ) -> list[GramPair]:
     """All unordered Gram pairs of shape m x n, in lexicographic bit order.
 
-    Matrices are encoded as mn-bit integers and grouped by the exact
-    (AA^T, A^T A) byte fingerprint; pairs are emitted within groups only.
+    Matrices are encoded as mn-bit integers and decoded a block at a time
+    into one (N, m, n) array.  The sum filters are array masks; both Grams
+    come from one batched einsum each, and codes are grouped by their upper
+    triangles with one lexsort.  Pairs are emitted within groups only.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -67,79 +76,115 @@ def enumerate_gram_pairs(
     rfilt = tuple(row_sums_filter) if row_sums_filter is not None else None
     cfilt = tuple(col_sums_filter) if col_sums_filter is not None else None
 
-    # codes are scanned in increasing order, so every group list is sorted
-    groups: dict[bytes, list[int]] = {}
-    for code in range(1 << (m * n)):
-        a = _decode(code, m, n).astype(np.int64)
-        if rfilt is not None and tuple(int(x) for x in a.sum(axis=1)) != rfilt:
-            continue
-        if cfilt is not None and tuple(int(x) for x in a.sum(axis=0)) != cfilt:
-            continue
-        groups.setdefault(_fingerprint(a), []).append(code)
+    # Gram entries are at most max(m, n) <= cell_cap, so int8 holds them
+    rows_iu, cols_iu = np.triu_indices(m), np.triu_indices(n)
+    kept, keys = [], []
+    for start in range(0, 1 << (m * n), _BLOCK):
+        codes = np.arange(start, min(start + _BLOCK, 1 << (m * n)))
+        a = _bits(codes, m, n)
+        mask = np.ones(len(codes), dtype=bool)
+        if rfilt is not None:
+            mask &= _sums_match(a.sum(axis=2), rfilt)
+        if cfilt is not None:
+            mask &= _sums_match(a.sum(axis=1), cfilt)
+        a = a[mask]
+        row_gram = np.einsum("kij,klj->kil", a, a)[:, rows_iu[0], rows_iu[1]]
+        col_gram = np.einsum("kji,kjl->kil", a, a)[:, cols_iu[0], cols_iu[1]]
+        kept.append(codes[mask])
+        keys.append(np.concatenate([row_gram, col_gram], axis=1))
+    codes, keys = np.concatenate(kept), np.concatenate(keys)
 
-    out: list[tuple[int, int, GramPair]] = []
-    for codes in groups.values():
-        for i, j in itertools.combinations(range(len(codes)), 2):
-            A = BinaryMatrix(_decode(codes[i], m, n))
-            B = BinaryMatrix(_decode(codes[j], m, n))
-            pair = is_gram_pair(A, B)
-            if pair is None:  # same fingerprint and distinct
-                raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
-            if diff_rank is not None and pair.diff_rank != diff_rank:
-                continue
-            out.append((codes[i], codes[j], pair))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [p for _, _, p in out]
+    # lexsort is stable, so the codes of each group stay ascending
+    order = np.lexsort(keys.T)
+    codes, keys = codes[order].tolist(), keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    ends = np.r_[starts[1:], len(codes)]
+    shared = ends - starts > 1
+    pairs = sorted(
+        pair
+        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist())
+        for pair in itertools.combinations(codes[lo:hi], 2)
+    )
+    mats = _bits(np.array(pairs, dtype=np.int64).reshape(-1), m, n)
+
+    out: list[GramPair] = []
+    for k in range(len(pairs)):
+        pair = is_gram_pair(BinaryMatrix(mats[2 * k]), BinaryMatrix(mats[2 * k + 1]))
+        if pair is None:  # same Grams and distinct
+            raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
+        if diff_rank is None or pair.diff_rank == diff_rank:
+            out.append(pair)
+    return out
+
+
+def _rows_with_sum(n: int, s: int) -> np.ndarray:
+    """Every (0,1) row of length n with s ones."""
+    ones = list(itertools.combinations(range(n), s))
+    rows = np.zeros((len(ones), n), dtype=np.int8)
+    rows[np.repeat(np.arange(len(ones)), s), np.array(ones, dtype=np.intp).ravel()] = 1
+    return rows
 
 
 def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -> list[BinaryMatrix]:
     """Every B != A with (A, B) a Gram pair, by row-wise backtracking.
 
-    Candidate rows carry A's row sums; partial column sums are bounded
-    against the remaining rows before descending.
+    Row i of B is tried from the rows with A's i-th row sum.  All candidates
+    of one level are filtered at once: partial column sums are bounded
+    against the remaining rows, and the products with the rows above must
+    match AA^T.  The search recurses into the survivors only.
+
+    One node is one candidate row tried, pruned or not, as in a search that
+    tries the candidates one by one; filtering a level at once leaves that
+    count unchanged.  The budget is charged for every candidate up to each
+    survivor before descending, and for the rest at the end of the level,
+    so OracleCapError is raised exactly when the total exceeds node_cap.
     """
     a = A.int64()
     g = a @ a.T
     m, n = a.shape
-    rs = [int(x) for x in a.sum(axis=1)]
-    cs = np.array([int(x) for x in a.sum(axis=0)], dtype=np.int64)
-    by_sum: dict[int, list[np.ndarray]] = {}
-    for s in set(rs):
-        by_sum[s] = [np.array(bits, dtype=np.int64) for bits in itertools.product((0, 1), repeat=n)
-                     if sum(bits) == s]
+    rs = a.sum(axis=1).tolist()
+    cs = a.sum(axis=0)
+    by_sum: dict[int, np.ndarray] = {}
     found: list[BinaryMatrix] = []
-    cur = np.zeros(n, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    budget = [node_cap]
+    b = np.zeros_like(a)
+    budget = node_cap
 
-    def rec(i: int):
+    def charge(nodes: int):
+        nonlocal budget
+        budget -= nodes
+        if budget < 0:
+            raise OracleCapError("mate search exceeded the node cap")
+
+    def rec(i: int, col: np.ndarray):
         if i == m:
-            b = np.vstack(rows)
             if (b == a).all():
                 return
             B = BinaryMatrix(b.astype(np.int8))
             if is_gram_pair(A, B) is not None:
                 found.append(B)
             return
-        remaining = m - i - 1
-        for cand in by_sum[rs[i]]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise OracleCapError("mate search exceeded the node cap")
-            nxt = cur + cand
-            if (nxt > cs).any() or (nxt + remaining < cs).any():
-                continue
-            # BB^T must equal AA^T entry by entry
-            if any(int(cand @ rows[i2]) != g[i, i2] for i2 in range(i)):
-                continue
-            cur[:] = nxt
-            rows.append(cand)
-            rec(i + 1)
-            rows.pop()
-            cur[:] = nxt - cand
-        return
+        s = rs[i]
+        # every candidate of this level gets charged, so a level larger than
+        # the budget left exceeds the cap whatever its survivors do, and its
+        # rows need not be built
+        if math.comb(n, s) > budget:
+            charge(math.comb(n, s))
+        if s not in by_sum:
+            by_sum[s] = _rows_with_sum(n, s)
+        cands = by_sum[s]
+        nxt = col + cands
+        ok = ((nxt <= cs) & (nxt + (m - i - 1) >= cs)).all(axis=1)
+        # BB^T must equal AA^T entry by entry
+        ok &= (cands @ b[:i].T == g[i, :i]).all(axis=1)
+        charged = 0
+        for k in np.flatnonzero(ok).tolist():
+            charge(k + 1 - charged)
+            charged = k + 1
+            b[i] = cands[k]
+            rec(i + 1, nxt[k])
+        charge(len(cands) - charged)
 
-    rec(0)
+    rec(0, np.zeros(n, dtype=np.int64))
     found.sort(key=lambda M: tuple(M.data.flatten().tolist()))
     return found
 

@@ -254,9 +254,10 @@ def _match(sigs: frozenset):
 
     A fit maps sigs into the form's column signatures and meets every
     support class among them (M3, say, needs a column on both patterns and
-    one on the first alone).  The zero sums and the rank of E supply the
-    rest of the block structure.  Signatures of a rank-2 split lie in a
-    plane, so a key holds at most eight and the cache stays small.
+    one on the first alone).  The zero sums supply the rest of the block
+    structure.  Signatures that fit lie in a plane, as those of any rank-2
+    split do, so a fit implies rank 2.  A key holds at most 26 signatures,
+    at most eight when E has rank 2, so the cache stays small.
     """
     width = len(next(iter(sigs)))
     for mtype in ("M1", "M2", "M3", "M4") if width == 2 else ("M5",):
@@ -289,8 +290,6 @@ def classify_rank2(E: SignedMatrix):
     a = E.int64()
     if not a.any():
         raise ValueError("E must be nonzero")
-    if rank_exact(E) != 2:
-        return None
     if a.sum(axis=1).any() or a.sum(axis=0).any():
         return None
 
@@ -320,6 +319,10 @@ def classify_rank2(E: SignedMatrix):
             col_perm=_perm_from_order(col_order),
             transposed=transposed,
         )
+    # a match maps E onto a canonical form, which has rank 2, so the rank is
+    # needed only to tell "not rank 2" from "no form" when nothing matched
+    if rank_exact(E) != 2:
+        return None
     raise FormMatchError("rank-2 zero-sum matrix matches no canonical form; not realizable")
 
 

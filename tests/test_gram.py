@@ -12,6 +12,7 @@ from grammate.gram import (
     is_realizable_witness,
 )
 from grammate.matrix_core import BinaryMatrix, SignedMatrix
+from grammate.oracle import enumerate_gram_pairs
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]]))
 I2 = BinaryMatrix.identity(2)
@@ -118,24 +119,19 @@ class TestConvertibility:
         rep = convertibility(pair)
         assert not rep.convertible and rep.gram_singular is None
 
-    def test_all_pairs_agree_3x3(self):
-        # oracle-style sweep: the seven checks never disagree
-        mats = [
-            BinaryMatrix(np.array(bits, dtype=np.int8).reshape(3, 3))
-            for bits in itertools.product((0, 1), repeat=9)
-        ]
-        groups = {}
-        for m in mats:
-            a = m.int64()
-            key = (a @ a.T).tobytes() + (a.T @ a).tobytes()
-            groups.setdefault(key, []).append(m)
-        checked = 0
-        for grp in groups.values():
-            for x, y in itertools.combinations(grp, 2):
-                rep = convertibility(is_gram_pair(x, y))
-                assert len(set(rep.checks.values())) == 1
-                checked += 1
-        assert checked > 50
+    def test_all_pairs_up_to_4x4_match_the_integer_verdict(self):
+        # both bases of the span checks come from one elimination; every
+        # check must still equal the integer verdict, computed here
+        total = convertible = 0
+        for m, n in itertools.product(range(2, 5), repeat=2):
+            for pair in enumerate_gram_pairs(m, n):
+                a, b = pair.A.int64(), pair.B.int64()
+                verdict = not ((a + b) @ (a - b).T).any()
+                rep = convertibility(pair)
+                assert rep.checks == dict.fromkeys(CHECK_NAMES, verdict)
+                total += 1
+                convertible += verdict
+        assert (total, convertible) == (14632, 12676)
 
     def test_rotated_singular_vectors_raise(self, monkeypatch, rank1_example):
         # turning each first singular vector towards the null space of A - B

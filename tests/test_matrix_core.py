@@ -10,7 +10,7 @@ from grammate.matrix_core import (
     MatrixFormatError,
     Permutation,
     SignedMatrix,
-    _pivot_rows,
+    _pivots,
     apply_perms,
     col_sums,
     parse_matrix,
@@ -96,7 +96,7 @@ class TestRankExact:
     def test_matches_numpy(self, rows):
         a = np.array(rows)
         assert rank_exact(SignedMatrix(a)) == np.linalg.matrix_rank(a.astype(float))
-        assert _pivot_rows(a) == _greedy_rows(a)
+        _assert_pivots(a, _greedy_rows(a))
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_sylvester_hadamard(self, k):
@@ -106,14 +106,15 @@ class TestRankExact:
         for _ in range(k):
             h = np.block([[h, h], [h, -h]])
         assert rank_exact(SignedMatrix(h)) == 2**k
-        assert _pivot_rows(h) == _greedy_rows(h) == list(range(2**k))
+        assert _greedy_rows(h) == list(range(2**k))
+        _assert_pivots(h, list(range(2**k)))
 
     @pytest.mark.parametrize("shape", [(40, 40), (40, 31), (23, 40), (16, 16), (2, 40), (40, 3)])
     def test_random_signs(self, shape):
         a = np.random.default_rng(sum(shape)).choice([-1, 1], shape)
         rows = _greedy_rows(a)
         assert rank_exact(SignedMatrix(a)) == len(rows)
-        assert _pivot_rows(a) == rows
+        _assert_pivots(a, rows)
 
     @pytest.mark.parametrize("r", [14, 15, 16, 17])
     def test_low_rank_products(self, r):
@@ -127,7 +128,7 @@ class TestRankExact:
         rows = _greedy_rows(a)
         assert r - 1 <= len(rows) <= r
         assert rank_exact(SignedMatrix(a)) == len(rows)
-        assert _pivot_rows(a) == rows
+        _assert_pivots(a, rows)
 
     @pytest.mark.parametrize(
         "a",
@@ -137,7 +138,7 @@ class TestRankExact:
     def test_degenerate_shapes(self, a):
         rows = _greedy_rows(a)
         assert rank_exact(SignedMatrix(a)) == len(rows)
-        assert _pivot_rows(a) == rows
+        _assert_pivots(a, rows)
 
     def test_needs_a_matrix_type(self):
         for bad in (np.eye(3, dtype=int), [[1, 0], [0, 1]]):
@@ -161,6 +162,16 @@ def _greedy_rows(a: np.ndarray) -> list[int]:
             basis.append((p, [x / v[p] for x in v]))
             rows.append(i)
     return rows
+
+
+def _assert_pivots(a: np.ndarray, rows: list[int]) -> None:
+    """_pivots(a) gives the rows expected and as many distinct columns, on
+    which those rows form a nonsingular block, so the columns are a basis
+    of the column space."""
+    prows, pcols = _pivots(a)
+    assert prows == rows
+    assert len(set(pcols)) == len(pcols) == len(rows)
+    assert _greedy_rows(a[np.ix_(rows, pcols)]) == list(range(len(rows)))
 
 
 class TestPermutation:

@@ -14,6 +14,40 @@ from grammate.oracle import (
 from grammate.rank_forms import classify_rank1
 
 
+def _all_matrices(m, n):
+    """Every m x n (0,1) matrix; matrix c has bit t of c at flat position t."""
+    codes = np.arange(1 << (m * n))
+    return ((codes[:, None] >> np.arange(m * n)) & 1).reshape(-1, m, n)
+
+
+def _gram_groups(mats):
+    """Lists of the indices of mats with equal (AA^T, A^T A), each ascending."""
+    t = mats.transpose(0, 2, 1)
+    key = np.concatenate([(mats @ t).reshape(len(mats), -1), (t @ mats).reshape(len(mats), -1)], axis=1)
+    _, group = np.unique(key, axis=0, return_inverse=True)
+    members = {}
+    for i, g in enumerate(group.ravel().tolist()):
+        members.setdefault(g, []).append(i)
+    return list(members.values())
+
+
+def _reference_pairs(m, n):
+    """(code A, code B, difference rank) of every Gram pair, sorted."""
+    mats = _all_matrices(m, n)
+    return mats, sorted(
+        (i, j, int(np.linalg.matrix_rank(mats[i] - mats[j])))
+        for codes in _gram_groups(mats)
+        for i, j in itertools.combinations(codes, 2)
+    )
+
+
+def _code(M):
+    return int(M.int64().ravel() @ (1 << np.arange(M.data.size)))
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+
+
 class TestEnumerateGramPairs:
     def test_no_1x1_mates(self):
         assert enumerate_gram_pairs(1, 1) == []
@@ -48,6 +82,32 @@ class TestEnumerateGramPairs:
         with pytest.raises(OracleCapError):
             enumerate_gram_pairs(5, 6)
 
+    @pytest.mark.parametrize("m,n", SMALL_SHAPES)
+    def test_matches_numpy_reference(self, m, n):
+        mats, ref = _reference_pairs(m, n)
+        # sum filters taken from a pair of the shape, or from the last matrix
+        i, j, _ = ref[len(ref) // 2] if ref else (len(mats) - 1,) * 3
+        rows, cols = tuple(mats[i].sum(axis=1).tolist()), tuple(mats[j].sum(axis=0).tolist())
+        cases = [
+            ({}, lambda a, r: True),
+            ({"diff_rank": 1}, lambda a, r: r == 1),
+            ({"diff_rank": 2}, lambda a, r: r == 2),
+            ({"row_sums_filter": rows}, lambda a, r: tuple(a.sum(axis=1)) == rows),
+            ({"col_sums_filter": cols}, lambda a, r: tuple(a.sum(axis=0)) == cols),
+            ({"row_sums_filter": rows, "col_sums_filter": cols, "diff_rank": 1},
+             lambda a, r: tuple(a.sum(axis=1)) == rows and tuple(a.sum(axis=0)) == cols and r == 1),
+        ]
+        for kwargs, keep in cases:
+            got = [(_code(p.A), _code(p.B), p.diff_rank) for p in enumerate_gram_pairs(m, n, **kwargs)]
+            assert got == [t for t in ref if keep(mats[t[0]], t[2])], kwargs
+
+    def test_wrong_length_filter_matches_nothing(self):
+        # a mask must not broadcast a short filter over the rows
+        assert enumerate_gram_pairs(2, 3, row_sums_filter=(1, 1, 1)) == []
+        assert enumerate_gram_pairs(2, 2, row_sums_filter=(1,)) == []
+        assert enumerate_gram_pairs(2, 2, col_sums_filter=(1, 1, 1)) == []
+        assert len(enumerate_gram_pairs(2, 2, row_sums_filter=(1, 1))) == 1
+
 
 class TestEnumerateMatesOf:
     def test_identity_4(self):
@@ -68,6 +128,29 @@ class TestEnumerateMatesOf:
     def test_cap(self):
         with pytest.raises(OracleCapError):
             enumerate_mates_of(BinaryMatrix(np.eye(4, dtype=np.int8)), node_cap=2)
+
+    def test_node_count_of_the_paper_example(self, rank1_example):
+        # 48,510 candidate rows are tried; the cap is met exactly there
+        A, B, _ = rank1_example
+        assert enumerate_mates_of(A, node_cap=48510) == [B]
+        with pytest.raises(OracleCapError):
+            enumerate_mates_of(A, node_cap=48509)
+
+    @pytest.mark.parametrize("m,n,sample", [
+        (2, 2, None), (2, 3, None), (3, 2, None), (3, 3, None), (2, 4, None), (4, 2, None),
+        (3, 4, 60), (4, 3, 60),
+    ])
+    def test_mates_are_the_gram_group(self, m, n, sample):
+        mats = _all_matrices(m, n)
+        groups = _gram_groups(mats)
+        codes = range(len(mats))
+        if sample is not None:
+            codes = np.random.default_rng(m * 10 + n).choice(len(mats), sample, replace=False).tolist()
+        group_of = {c: g for g in groups for c in g}
+        for c in codes:
+            want = sorted(tuple(mats[d].ravel().tolist()) for d in group_of[c] if d != c)
+            got = [tuple(M.int64().ravel().tolist()) for M in enumerate_mates_of(BinaryMatrix(mats[c]))]
+            assert got == want, mats[c]
 
 
 class TestValidateTheorems:

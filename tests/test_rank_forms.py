@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from grammate.numerics import svd
 from grammate.oracle import enumerate_gram_pairs
 from grammate.rank_forms import (
     M_INDEX_NAMES,
+    FormMatchError,
     NotRealizableError,
     Rank2Form,
     canonical_rank1_E,
@@ -238,6 +242,59 @@ def test_form_counts_over_gram_pair_differences():
             assert reconstruct_E(form) == E
             counts[form.mtype] += 1
     assert counts == {"M1": 36, "M2": 216, "M3": 576, "M4": 0, "M5": 2700}
+
+
+def _zero_sum_inputs():
+    """Nonzero zero-sum {-1,0,1} matrices: all of shapes 2x2 to 3x4/4x3, the
+    M1-M3 forms of ZERO_SUM_FORMS padded, permuted and transposed, and
+    seeded sums of +-1 2x2 cycles up to 7x7, whose ranks run from 1 to 5."""
+    for m, n in itertools.product(range(2, 5), repeat=2):
+        if m * n <= 12:
+            v = (np.arange(3 ** (m * n))[:, None] // 3 ** np.arange(m * n) % 3 - 1).reshape(-1, m, n)
+            yield from v[(v.sum(axis=2) == 0).all(1) & (v.sum(axis=1) == 0).all(1) & v.any(axis=(1, 2))]
+    rng = np.random.default_rng(5)
+    for mtype in ("M1", "M2", "M3"):
+        core = canonical_rank2_E(mtype, ZERO_SUM_FORMS[mtype]).data
+        full = np.zeros((core.shape[0] + 1, core.shape[1] + 2), dtype=np.int8)
+        full[: core.shape[0], : core.shape[1]] = core
+        for _ in range(3):
+            e = full[rng.permutation(full.shape[0])][:, rng.permutation(full.shape[1])]
+            yield from (e, e.T)
+    for _ in range(2000):
+        m, n = rng.integers(2, 8, 2)
+        e = np.zeros((m, n), dtype=np.int64)
+        for _ in range(rng.integers(1, 7)):
+            (r0, r1), (c0, c1) = rng.choice(m, 2, replace=False), rng.choice(n, 2, replace=False)
+            f = e.copy()
+            f[[r0, r1], [c0, c1]] += 1
+            f[[r0, r1], [c1, c0]] -= 1
+            if np.abs(f).max() <= 1:
+                e = f
+        if e.any():
+            yield e
+
+
+def test_classify_rank2_against_a_rank_reference():
+    # the rank is computed only when no form matches: a match must still
+    # mean rank 2, and every other input must come out None by its rank
+    outcomes = Counter()
+    for e in _zero_sum_inputs():
+        E = SignedMatrix(e)
+        rank = int(np.linalg.matrix_rank(e))
+        try:
+            form = classify_rank2(E)
+        except FormMatchError:
+            form = "no form"
+        if rank != 2:
+            assert form is None, e
+        elif form != "no form":
+            assert reconstruct_E(form) == E
+        outcomes[rank, getattr(form, "mtype", form)] += 1
+    # the outcomes of classifying with the rank computed first
+    assert outcomes == {
+        (1, None): 1236, (2, "M1"): 6, (2, "M2"): 50, (2, "M3"): 25, (2, "M4"): 445,
+        (2, "M5"): 323, (3, None): 265, (4, None): 46, (5, None): 6,
+    }
 
 
 class TestRank2Realizable:
