@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .matrix_core import BinaryMatrix, SignedMatrix, _pivots, col_sums, rank_exact, row_sums
+from .matrix_core import (
+    BinaryMatrix,
+    SignedMatrix,
+    _int8_within,
+    _pivots,
+    col_sums,
+    rank_exact,
+    row_sums,
+)
 
 CHECK_NAMES = (
     "sum_times_diffT_zero",
@@ -36,18 +44,18 @@ class GramPair:
     diff_rank: int
 
     def __post_init__(self):
-        a, b = self.A.int64(), self.B.int64()
+        a, b = self.A.data, self.B.data
         if a.shape != b.shape:
             raise ValueError("dimension mismatch")
-        if (a == b).all():
+        if a.tobytes() == b.tobytes():
             raise ValueError("A and B must be distinct")
-        if (a @ a.T != b @ b.T).any() or (a.T @ a != b.T @ b).any():
+        if not _same_grams(a, b):
             raise ValueError("Gram identities fail")
         assert row_sums(self.A) == row_sums(self.B)
         assert col_sums(self.A) == col_sums(self.B)
 
     def diff(self) -> SignedMatrix:
-        return SignedMatrix(self.A.int64() - self.B.int64())
+        return SignedMatrix(self.A.data - self.B.data)
 
 
 @dataclass(frozen=True)
@@ -65,23 +73,37 @@ class ConvertibilityReport:
     gram_singular: GramSingularReport | None
 
 
+def _same_grams(a: np.ndarray, b: np.ndarray) -> bool:
+    """AA^T = BB^T and A^T A = B^T B for int8 arrays of one shape, exactly:
+    the products are taken in int64 and compared byte for byte."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    return (a @ a.T).tobytes() == (b @ b.T).tobytes() and (a.T @ a).tobytes() == (b.T @ b).tobytes()
+
+
 def is_gram_pair(A: BinaryMatrix, B: BinaryMatrix):
     """GramPair when the Gram identities hold exactly and A != B, else None."""
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    a, b = A.int64(), B.int64()
-    if (a == b).all():
-        return None
-    if (a @ a.T != b @ b.T).any() or (a.T @ a != b.T @ b).any():
+    a, b = A.data, B.data
+    if a.tobytes() == b.tobytes() or not _same_grams(a, b):
         return None
     return GramPair(A, B, rank_exact(SignedMatrix(a - b)))
 
 
 def is_realizable_witness(E: SignedMatrix, A: BinaryMatrix) -> bool:
-    """True iff (A, A+E) is a Gram pair; ValueError when A+E is not (0,1)."""
+    """True iff (A, A+E) is a Gram pair; ValueError when A+E is not (0,1).
+
+    Decided from the int8 entries: A+E must be (0,1), E nonzero, and the
+    two Gram identities of A and A+E must hold exactly.  It checks the
+    identities directly and builds no matrix for A+E, no GramPair and no
+    rank.
+    """
     if E.shape != A.shape:
         raise ValueError("dimension mismatch")
-    return is_gram_pair(A, BinaryMatrix(A.int64() + E.int64())) is not None
+    b = A.data + E.data  # int8: the entries stay in -1..2
+    if not _int8_within(b, BinaryMatrix._ALPHABET_BYTES):
+        raise ValueError(f"entry out of range {BinaryMatrix._ALPHABET}")
+    return bool(E.data.any()) and _same_grams(A.data, b)
 
 
 def embed_check(E_tilde: SignedMatrix, X1, X2) -> bool:

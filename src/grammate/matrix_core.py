@@ -4,7 +4,9 @@ and the .mtxt text format.
 
 Entries may be given as bool, integer or float arrays or nested lists.
 Each entry is range-checked as given, before any cast: it must be an integer
-in the matrix's alphabet.  Entries are then stored as int8 numpy arrays.  All
+in the matrix's alphabet.  int8 input is checked bytewise, one byte per
+entry; every other dtype is checked with min/max (and integrality for
+floats).  Entries are then stored as int8 numpy arrays.  All
 products and Gram matrices are accumulated in int64, so every algebraic
 identity checked elsewhere in the package is exact.  Matrices are immutable
 values.
@@ -44,6 +46,13 @@ def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
     return kind != "f" or bool((a == np.trunc(a)).all())
 
 
+def _int8_within(a: np.ndarray, alphabet: bytes) -> bool:
+    """True when every entry of int8 array ``a`` is one of the int8 values
+    whose bytes are ``alphabet``.  Exact: an int8 entry is one byte, and
+    deleting the alphabet's bytes leaves nothing exactly when all are in it."""
+    return not a.tobytes().translate(None, alphabet)
+
+
 @dataclass(frozen=True)
 class _DenseMatrix:
     """Shared implementation of the two matrix kinds."""
@@ -51,6 +60,7 @@ class _DenseMatrix:
     data: np.ndarray = field(repr=False)
 
     _ALPHABET: ClassVar[tuple[int, ...]] = ()
+    _ALPHABET_BYTES: ClassVar[bytes] = b""
 
     def __post_init__(self):
         a = np.asarray(self.data)
@@ -58,7 +68,11 @@ class _DenseMatrix:
             a = a.reshape(1, -1)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("matrix must be 2-dimensional with positive size")
-        if not _in_range(a, self._ALPHABET[0], self._ALPHABET[-1]):
+        if a.dtype == np.int8:
+            ok = _int8_within(a, self._ALPHABET_BYTES)
+        else:
+            ok = _in_range(a, self._ALPHABET[0], self._ALPHABET[-1])
+        if not ok:
             raise ValueError(f"entry out of range {self._ALPHABET}")
         object.__setattr__(self, "data", _freeze(a))
 
@@ -99,6 +113,7 @@ class BinaryMatrix(_DenseMatrix):
     """Dense m x n matrix over {0,1}."""
 
     _ALPHABET = (0, 1)
+    _ALPHABET_BYTES = np.array(_ALPHABET, dtype=np.int8).tobytes()
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "BinaryMatrix":
@@ -117,6 +132,7 @@ class SignedMatrix(_DenseMatrix):
     """Dense m x n matrix over {-1,0,1}."""
 
     _ALPHABET = (-1, 0, 1)
+    _ALPHABET_BYTES = np.array(_ALPHABET, dtype=np.int8).tobytes()
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "SignedMatrix":
@@ -167,11 +183,11 @@ class Permutation:
 
 
 def row_sums(M) -> tuple[int, ...]:
-    return tuple(int(s) for s in M.int64().sum(axis=1))
+    return tuple(M.data.sum(axis=1, dtype=np.int64).tolist())
 
 
 def col_sums(M) -> tuple[int, ...]:
-    return tuple(int(s) for s in M.int64().sum(axis=0))
+    return tuple(M.data.sum(axis=0, dtype=np.int64).tolist())
 
 
 # Bareiss step k forms piv*a - a[:, c]*a[r] from k-minors of a {-1,0,1}
@@ -232,9 +248,9 @@ def apply_perms(M, P: Permutation, Q: Permutation):
     """
     if P.size != M.rows or Q.size != M.cols:
         raise ValueError("permutation size mismatch")
-    pinv = P.inverse().image
-    qinv = Q.inverse().image
-    return type(M)(M.data[np.ix_(pinv, qinv)])
+    out = np.empty_like(M.data)
+    out[np.ix_(P.image, Q.image)] = M.data
+    return type(M)(out)
 
 
 def _parse_entries(text: str) -> np.ndarray:

@@ -71,6 +71,37 @@ class TestRealizableWitness:
         with pytest.raises(ValueError):
             is_realizable_witness(e, BinaryMatrix.ones(2, 2))
 
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (3, 3)])
+    def test_matches_is_gram_pair_on_every_pair(self, m, n):
+        # E = B - A over every ordered (A, B), so A + E = B stays (0,1)
+        codes = np.arange(1 << (m * n))[:, None] >> np.arange(m * n) & 1
+        mats = [BinaryMatrix(c.reshape(m, n).astype(np.int8)) for c in codes]
+        yes = 0
+        for A in mats:
+            for B in mats:
+                want = is_gram_pair(A, B) is not None
+                assert is_realizable_witness(SignedMatrix(B.data - A.data), A) == want
+                yes += want
+        assert yes == 2 * len(enumerate_gram_pairs(m, n))
+
+    def test_matches_is_gram_pair_on_random_differences(self):
+        rng = np.random.default_rng(11)
+        raised = decided = 0
+        for _ in range(3000):
+            m, n = rng.integers(1, 5, 2)
+            a = rng.integers(0, 2, (m, n))
+            e = rng.integers(-1, 2, (m, n))
+            A, E = BinaryMatrix(a), SignedMatrix(e)
+            if ((a + e) < 0).any() or ((a + e) > 1).any():
+                with pytest.raises(ValueError):
+                    is_realizable_witness(E, A)
+                raised += 1
+            else:
+                want = is_gram_pair(A, BinaryMatrix(a + e)) is not None
+                assert is_realizable_witness(E, A) == want
+                decided += 1
+        assert raised > 1000 and decided > 300
+
 
 class TestEmbedCheck:
     def test_zero_borders_pass(self):

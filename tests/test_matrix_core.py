@@ -48,6 +48,41 @@ class TestMatrices:
         SignedMatrix(np.array([[-1, 0, 1]]))
         assert BinaryMatrix(np.array([[True, False]])) == BinaryMatrix(np.array([[1, 0]]))
         assert SignedMatrix(np.array([[-1.0, 1.0]])) == SignedMatrix(np.array([[-1, 1]]))
+        # every non-int8 dtype goes through the min/max check, never the bytes
+        for cls, good, bad in ((BinaryMatrix, [[0, 1]], [[2]]), (SignedMatrix, [[-1, 0, 1]], [[-2]])):
+            for dt in (np.int16, np.int64, np.float64):
+                assert cls(np.array(good, dtype=dt)) == cls(np.array(good, dtype=np.int8))
+                with pytest.raises(ValueError, match="entry out of range"):
+                    cls(np.array(bad, dtype=dt))
+            for bad_input in (np.array([[255]], dtype=np.uint8), np.array([[384]]),
+                              np.array([[np.nan]]), np.array([[1 + 0j]]), np.array([["1"]])):
+                with pytest.raises(ValueError, match="entry out of range"):
+                    cls(bad_input)
+        assert BinaryMatrix(np.array([[1]], dtype=np.uint8)).data.dtype == np.int8
+
+    def test_every_int8_value(self):
+        for v in range(-128, 128):
+            x = np.array([[v]], dtype=np.int8)
+            for cls, alphabet in ((BinaryMatrix, (0, 1)), (SignedMatrix, (-1, 0, 1))):
+                if v in alphabet:
+                    assert cls(x).data[0, 0] == v
+                else:
+                    with pytest.raises(ValueError, match="entry out of range"):
+                        cls(x)
+
+    def test_int8_views_are_checked_as_viewed_and_copied(self):
+        src = np.array([[0, 7, 1, 7], [1, -1, 1, -1], [0, 5, 0, 5]], dtype=np.int8)
+        for view, ok in ((src[:, ::2], True), (src[:, 1::2], False), (src[:2, ::2].T, True),
+                         (src[1:2].T, False)):
+            if not ok:
+                with pytest.raises(ValueError, match="entry out of range"):
+                    BinaryMatrix(view)
+                continue
+            m = BinaryMatrix(view)
+            assert (m.data == view).all() and m.data.flags.c_contiguous
+            assert not np.shares_memory(m.data, src)
+        s = SignedMatrix(src[1:2].T)
+        assert s.data[:, 0].tolist() == [1, -1, 1, -1] and not np.shares_memory(s.data, src)
 
     def test_immutability(self):
         m = BinaryMatrix.identity(2)
@@ -73,6 +108,15 @@ class TestMatrices:
         m = BinaryMatrix(np.array([[1, 1, 0], [0, 1, 0]]))
         assert row_sums(m) == (2, 1)
         assert col_sums(m) == (1, 2, 0)
+        s = SignedMatrix(np.array([[-1, -1, 0], [1, -1, -1]]))
+        assert row_sums(s) == (-2, -1)
+        assert col_sums(s) == (0, -2, -1)
+        # sums past the int8 range
+        wide = BinaryMatrix.ones(2, 300)
+        assert row_sums(wide) == (300, 300) and row_sums(wide.transpose()) == (2,) * 300
+        assert col_sums(wide.transpose()) == (300, 300)
+        for sums in (row_sums(m), col_sums(m), row_sums(s), col_sums(s), row_sums(wide)):
+            assert type(sums) is tuple and all(type(x) is int for x in sums)
 
     def test_transpose(self):
         m = BinaryMatrix(np.array([[1, 1, 0], [0, 1, 0]]))
