@@ -9,6 +9,7 @@ hit its cap and the question is undecided.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,6 +217,10 @@ def cmd_gram_data(args) -> int:
 def cmd_urs(args) -> int:
     R = _int_list(args.rows)
     S = _int_list(args.cols)
+    if not R or not S:
+        raise UsageError("row and column sums must be non-empty")
+    if min(R + S) < 0:
+        raise UsageError("row and column sums must be non-negative")
     try:
         M = gale_ryser.construct_urs(R, S)
     except gale_ryser.InfeasibleError:
@@ -314,6 +319,8 @@ def cmd_fixable(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.M < 1 or args.N < 1:
+        raise UsageError("dimensions must be positive")
     try:
         pairs = oracle.enumerate_gram_pairs(
             args.M, args.N,
@@ -453,10 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse keeps no state between parse_args calls, so in-process callers of
+# run() share one parser instead of rebuilding the tree on every call
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

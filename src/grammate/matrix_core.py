@@ -303,10 +303,8 @@ def parse_matrix(text: str):
 
 
 def serialize_matrix(M) -> str:
-    lines = [f"{M.rows} {M.cols}"]
-    for row in M.data:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    body = "".join(" ".join(map(str, row)) + "\n" for row in M.data.tolist())
+    return f"{M.rows} {M.cols}\n" + body
 
 
 def load_matrix(path):

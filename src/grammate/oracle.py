@@ -120,24 +120,31 @@ def enumerate_gram_pairs(
 def _rows_with_sum(n: int, s: int) -> np.ndarray:
     """Every (0,1) row of length n with s ones."""
     ones = list(itertools.combinations(range(n), s))
-    rows = np.zeros((len(ones), n), dtype=np.int8)
+    rows = np.zeros((len(ones), n), dtype=np.int64)
     rows[np.repeat(np.arange(len(ones)), s), np.array(ones, dtype=np.intp).ravel()] = 1
     return rows
 
 
 def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -> list[BinaryMatrix]:
-    """Every B != A with (A, B) a Gram pair, by row-wise backtracking.
+    """Every B != A with (A, B) a Gram pair, by a row-by-row frontier search.
 
-    Row i of B is tried from the rows with A's i-th row sum.  All candidates
-    of one level are filtered at once: partial column sums are bounded
-    against the remaining rows, and the products with the rows above must
-    match AA^T.  The search recurses into the survivors only.
+    Row i of B is drawn from the rows with A's i-th row sum.  The partial
+    matrices with i rows form the frontier of level i, and a chunk of it is
+    expanded by every candidate row in one numpy step: the partial column
+    sums are bounded against the remaining rows in one comparison, and the
+    products with the rows above, one (F*i, n) @ (n, K) product, must match
+    AA^T.  The survivors are the next level's frontier.  Chunks are expanded
+    depth first, and a chunk's F partial matrices times K candidate rows of
+    length n make at most _BLOCK entries (or one partial matrix, if K * n is
+    larger), so the temporaries stay bounded however wide a level grows.
 
-    One node is one candidate row tried, pruned or not, as in a search that
-    tries the candidates one by one; filtering a level at once leaves that
-    count unchanged.  The budget is charged for every candidate up to each
-    survivor before descending, and for the rest at the end of the level,
-    so OracleCapError is raised exactly when the total exceeds node_cap.
+    One node is one candidate row tried for one partial matrix, pruned or
+    not, so a chunk of F partial matrices at level i costs F * C(n, s_i)
+    nodes, where s_i is A's i-th row sum.  The total is that of a search
+    trying the candidates one by one, whatever the chunking.  Each chunk is
+    charged before it is built, so a level larger than the budget left is
+    never built, and OracleCapError is raised exactly when the total exceeds
+    node_cap.
     """
     a = A.int64()
     g = a @ a.T
@@ -146,45 +153,38 @@ def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -
     cs = a.sum(axis=0)
     by_sum: dict[int, np.ndarray] = {}
     found: list[BinaryMatrix] = []
-    b = np.zeros_like(a)
     budget = node_cap
 
-    def charge(nodes: int):
+    def expand(i: int, front: np.ndarray, col: np.ndarray):
+        # front: (F, m, n) partial matrices with rows i.. zero; col: their column sums
         nonlocal budget
-        budget -= nodes
-        if budget < 0:
-            raise OracleCapError("mate search exceeded the node cap")
-
-    def rec(i: int, col: np.ndarray):
         if i == m:
-            if (b == a).all():
-                return
-            B = BinaryMatrix(b.astype(np.int8))
-            if is_gram_pair(A, B) is not None:
-                found.append(B)
+            for b in front[(front != A.data).any(axis=(1, 2))]:
+                B = BinaryMatrix(b)
+                if is_gram_pair(A, B) is not None:
+                    found.append(B)
             return
-        s = rs[i]
-        # every candidate of this level gets charged, so a level larger than
-        # the budget left exceeds the cap whatever its survivors do, and its
-        # rows need not be built
-        if math.comb(n, s) > budget:
-            charge(math.comb(n, s))
-        if s not in by_sum:
-            by_sum[s] = _rows_with_sum(n, s)
-        cands = by_sum[s]
-        nxt = col + cands
-        ok = ((nxt <= cs) & (nxt + (m - i - 1) >= cs)).all(axis=1)
-        # BB^T must equal AA^T entry by entry
-        ok &= (cands @ b[:i].T == g[i, :i]).all(axis=1)
-        charged = 0
-        for k in np.flatnonzero(ok).tolist():
-            charge(k + 1 - charged)
-            charged = k + 1
-            b[i] = cands[k]
-            rec(i + 1, nxt[k])
-        charge(len(cands) - charged)
+        s, k = rs[i], math.comb(n, rs[i])
+        step = max(1, _BLOCK // (k * n))
+        for lo in range(0, len(front), step):
+            f, c = front[lo:lo + step], col[lo:lo + step]
+            budget -= len(f) * k
+            if budget < 0:
+                raise OracleCapError("mate search exceeded the node cap")
+            if s not in by_sum:
+                by_sum[s] = _rows_with_sum(n, s)
+            cands = by_sum[s]
+            nxt = c[:, None, :] + cands
+            ok = ((nxt <= cs) & (nxt + (m - i - 1) >= cs)).all(axis=2)
+            # BB^T must equal AA^T entry by entry
+            prod = (f[:, :i].reshape(-1, n) @ cands.T).reshape(len(f), i, k)
+            ok &= (prod == g[i, :i, None]).all(axis=1)
+            fi, ki = np.nonzero(ok)
+            child = f[fi]
+            child[:, i] = cands[ki]
+            expand(i + 1, child, nxt[fi, ki])
 
-    rec(0, np.zeros(n, dtype=np.int64))
+    expand(0, np.zeros((1, m, n), dtype=np.int8), np.zeros((1, n), dtype=np.int64))
     found.sort(key=lambda M: tuple(M.data.flatten().tolist()))
     return found
 

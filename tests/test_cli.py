@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grammate.cli import run
+from grammate.cli import build_parser, run
 from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix
 from grammate.rank_forms import canonical_rank2_E, classify_rank2, rank2_complete, rank2_realizable
 
@@ -264,6 +264,12 @@ class TestUrs:
     def test_infeasible(self, capsys):
         assert cli(capsys, "urs", "--rows", "3,3", "--cols", "1,1") == (3, "infeasible\n")
 
+    @pytest.mark.parametrize("rows,cols", [("1", "-1"), ("-2", "0"), ("", ""), ("1", ""), (" ", "0")])
+    def test_negative_or_empty_sums_are_usage_errors(self, capsys, rows, cols):
+        assert run(["urs", "--rows", rows, "--cols", cols]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: row and column sums must be non-")
+
 
 class TestConstruct:
     def test_complement(self, capsys, x2, i2):
@@ -355,6 +361,11 @@ class TestEnumerate:
     def test_cap(self, capsys):
         assert run(["enumerate", "5", "6"]) == 4
 
+    @pytest.mark.parametrize("m,n", [("0", "3"), ("3", "-1"), ("-2", "-2")])
+    def test_nonpositive_dimensions_are_usage_errors(self, capsys, m, n):
+        assert run(["enumerate", m, n]) == 2
+        assert capsys.readouterr() == ("", "error: dimensions must be positive\n")
+
 
 class TestMatesOf:
     def test_i2(self, capsys, i2):
@@ -411,6 +422,27 @@ class TestReconstruct:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestParserReuse:
+    """run() shares one parser per process; no call may see another's arguments."""
+
+    def test_json_flag_does_not_stick(self, capsys):
+        assert cli(capsys, "verify", "--json", A7, B7)[1].startswith("{")
+        assert cli(capsys, "verify", A7, B7) == (0, "Gram mates (difference rank 1)\n")
+
+    def test_cap_does_not_stick(self, capsys, b10):
+        assert cli(capsys, "isomorphic", "--cap", "1", A10, b10) == (4, "undecided (cap)\n")
+        code, out = cli(capsys, "isomorphic", A10, b10)
+        assert code == 0 and out.startswith("isomorphic\n")
+
+    def test_usage_error_then_valid_call(self, capsys, i2):
+        assert run(["verify", i2]) == 2
+        assert run(["frobnicate"]) == 2
+        assert cli(capsys, "mates-of", i2) == (0, "mates: 1\n2 2\n0 1\n1 0\n")
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+
 # ---------------------------------------------------------------------------
 # contract fuzz: any .mtxt text and any argv exit in {0, 2, 3, 4}, never raise
 
@@ -456,13 +488,15 @@ def _small(entries):
                            min_size=m, max_size=m)))
 
 
-_MATRIX_TEXT = st.one_of(
+# shapes at most 4x4, so that enumerate, mates-of and construct stay quick
+_SMALL_TEXT = st.one_of(
     _small([0, 1]).map(_text),
     _small([0, 1, 1, 0, -1, 2]).map(_text),
-    st.sampled_from([t for pair in _MATES for t in pair] + _FORMS),
     st.text(alphabet="0123456789 -+.#xe\n", max_size=30),
 )
+_MATRIX_TEXT = st.one_of(_SMALL_TEXT, st.sampled_from([t for pair in _MATES for t in pair] + _FORMS))
 _PAIR_TEXT = st.one_of(st.sampled_from(_MATES), st.tuples(_MATRIX_TEXT, _MATRIX_TEXT))
+_SMALL_PAIR_TEXT = st.one_of(st.sampled_from(_MATES[:2]), st.tuples(_SMALL_TEXT, _SMALL_TEXT))
 
 
 def _grams(rows) -> tuple[str, str]:
@@ -473,13 +507,31 @@ def _grams(rows) -> tuple[str, str]:
 _GRAM_TEXT = st.one_of(_small([0, 1]).map(_grams), st.tuples(_MATRIX_TEXT, _MATRIX_TEXT))
 _TOL = st.sampled_from(["1e-9", "1e-3", "1e-30", "2", "0", "-1", "nan", "inf", "x"])
 _CAP = st.sampled_from(["1", "0", "-3", "50", "x"])
+_SIZE = st.sampled_from(["1", "2", "3", "4", "0", "-1", "2.5", "x", ""])
+_SUMS = st.one_of(st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+                  st.sampled_from(["", " ", "1,,2", "1 2", "x", "1.5", "-", "2;1", "--"]))
 
 
 @st.composite
 def _invocation(draw, command):
     """(argv with {dir} placeholders, {file name: text})."""
     files = {}
-    if command == "reconstruct":
+    if command == "enumerate":
+        argv = [command, draw(_SIZE), draw(_SIZE)]
+    elif command == "urs":
+        argv = [command, "--rows", draw(_SUMS), "--cols", draw(_SUMS)]
+    elif command == "mates-of":
+        files["A.mtxt"] = draw(_SMALL_TEXT)
+        argv = [command, "{dir}/A.mtxt"]
+    elif command == "construct":
+        op = draw(st.sampled_from(["complement", "dirsum", "join", "kron", "kron-swap",
+                                   "block-swap", "bogus"]))
+        argv = [command, "--op", op]
+        for k in range(draw(st.sampled_from([2, 4, 1, 3]))):
+            if k % 2 == 0:
+                files[f"{k}.mtxt"], files[f"{k + 1}.mtxt"] = draw(_SMALL_PAIR_TEXT)
+            argv.append(f"{{dir}}/{k}.mtxt")
+    elif command == "reconstruct":
         files["gr.mtxt"], files["gc.mtxt"] = draw(_GRAM_TEXT)
         argv = [command, "--grow", "{dir}/gr.mtxt", "--gcol", "{dir}/gc.mtxt"]
     elif command in ("classify", "complete", "gram-data"):
@@ -497,6 +549,11 @@ def _invocation(draw, command):
         "isomorphic": [["--cap", draw(_CAP)], ["--rel-tol", draw(_TOL)], ["--distinct-sv"]],
         "fixable": [["--cap", draw(_CAP)]],
         "reconstruct": [["--tol", draw(_TOL)]],
+        "enumerate": [["--rank", draw(st.sampled_from(["0", "1", "2", "-1", "x", "1.5"]))],
+                      ["--rowsums", draw(_SUMS)], ["--colsums", draw(_SUMS)], ["--json"]],
+        "urs": [],
+        "mates-of": [["--cap", draw(_CAP)]],
+        "construct": [["--out-prefix", "{dir}/out"]],
     }[command]
     for option in options:
         if draw(st.booleans()):
@@ -511,7 +568,8 @@ def _invocation(draw, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "convertible", "classify", "complete",
-                                     "gram-data", "isomorphic", "fixable", "reconstruct"])
+                                     "gram-data", "isomorphic", "fixable", "reconstruct",
+                                     "enumerate", "urs", "mates-of", "construct"])
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_contract_fuzz(command, data):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,19 @@ class TestMtxtFormat:
     def test_malformed(self, bad):
         with pytest.raises(MatrixFormatError):
             parse_matrix(bad)
+
+    @pytest.mark.parametrize("kind,alphabet", [(BinaryMatrix, (0, 1)), (SignedMatrix, (-1, 0, 1))])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+    def test_serialize_is_the_per_entry_text(self, kind, alphabet, shape):
+        # byte for byte the text of the per-entry formula, on every matrix of the shape
+        for entries in itertools.product(alphabet, repeat=shape[0] * shape[1]):
+            m = kind(np.array(entries, dtype=np.int8).reshape(shape))
+            lines = [f"{m.rows} {m.cols}"] + [" ".join(str(int(x)) for x in row) for row in m.data]
+            text = serialize_matrix(m)
+            assert text == "\n".join(lines) + "\n"
+            back = parse_matrix(text)
+            assert back.data.tolist() == m.data.tolist()
+            assert isinstance(back, BinaryMatrix) == (min(entries) >= 0)
 
     @settings(max_examples=40, deadline=None)
     @given(signed_arrays(max_dim=6))

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from grammate import oracle
 from grammate.gram import is_gram_pair
 from grammate.matrix_core import BinaryMatrix
 from grammate.oracle import (
@@ -43,6 +45,37 @@ def _reference_pairs(m, n):
 
 def _code(M):
     return int(M.int64().ravel() @ (1 << np.arange(M.data.size)))
+
+
+def _reference_nodes(a):
+    """Candidate rows tried by a plain row-by-row backtracking with the mate
+    search's prunings: column sums within reach, row products equal to AA^T."""
+    a = a.tolist()
+    m, n = len(a), len(a[0])
+    cs = [sum(col) for col in zip(*a)]
+    rows = list(itertools.product((0, 1), repeat=n))
+    count = 0
+
+    def dot(x, y):
+        return sum(p * q for p, q in zip(x, y))
+
+    def rec(b, col):
+        nonlocal count
+        i = len(b)
+        if i == m:
+            return
+        for r in rows:
+            if sum(r) != sum(a[i]):
+                continue
+            count += 1
+            nxt = [c + x for c, x in zip(col, r)]
+            if any(x > c or x + m - i - 1 < c for x, c in zip(nxt, cs)):
+                continue
+            if all(dot(r, b[j]) == dot(a[i], a[j]) for j in range(i)):
+                rec(b + [r], nxt)
+
+    rec([], [0] * n)
+    return count
 
 
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -151,6 +184,39 @@ class TestEnumerateMatesOf:
             want = sorted(tuple(mats[d].ravel().tolist()) for d in group_of[c] if d != c)
             got = [tuple(M.int64().ravel().tolist()) for M in enumerate_mates_of(BinaryMatrix(mats[c]))]
             assert got == want, mats[c]
+
+
+    def test_cap_is_the_reference_node_count(self):
+        mats = [*_all_matrices(3, 3)]
+        mats += list(_all_matrices(4, 4)[np.random.default_rng(44).choice(1 << 16, 40, replace=False)])
+        for a in mats:
+            nodes = _reference_nodes(a)
+            A = BinaryMatrix(a)
+            enumerate_mates_of(A, node_cap=nodes)
+            with pytest.raises(OracleCapError):
+                enumerate_mates_of(A, node_cap=nodes - 1)
+
+    def test_one_partial_matrix_per_chunk(self, monkeypatch):
+        # a chunk bound below one level's candidates expands every partial
+        # matrix on its own, so every frontier with two or more spans chunks
+        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        self.test_mates_are_the_gram_group(3, 3, None)
+        self.test_mates_are_the_gram_group(4, 4, 40)
+
+    def test_wide_frontier_stays_small(self):
+        # the mates of I7 are the other 5,039 permutation matrices; the last
+        # level tries 7 rows on each of 5,040 partial matrices, several chunks
+        assert 5040 * 7 * 7 > 2 * oracle._BLOCK
+        perms = sorted(tuple(np.eye(7, dtype=int)[list(p)].ravel().tolist())
+                       for p in itertools.permutations(range(7)) if p != tuple(range(7)))
+        tracemalloc.start()
+        try:
+            mates = enumerate_mates_of(BinaryMatrix.identity(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [tuple(M.int64().ravel().tolist()) for M in mates] == perms
+        assert peak < 32 << 20
 
 
 class TestValidateTheorems:
