@@ -104,10 +104,7 @@ def cmd_convertible(args) -> int:
     pair = is_gram_pair(*_load_pair(args))
     if pair is None:
         raise UsageError("not Gram mates")
-    try:
-        rep = convertibility(pair, tol=args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rep = convertibility(pair)
     values = [] if rep.gram_singular is None else list(rep.gram_singular.values)
     if args.json:
         _emit_json({"command": "convertible", "convertible": rep.convertible,
@@ -284,7 +281,7 @@ def cmd_isomorphic(args) -> int:
         if pair is None:
             raise UsageError("not Gram mates")
         try:
-            verdict = iso.iso_distinct_sv(pair, rel_tol=args.rel_tol, node_cap=args.cap)
+            verdict = iso.iso_distinct_sv(pair, node_cap=args.cap)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     else:
@@ -361,7 +358,7 @@ def cmd_reconstruct(args) -> int:
     Gr = _load_gram(args.grow)
     Gc = _load_gram(args.gcol)
     try:
-        found = numerics.reconstruct_from_grams(Gr, Gc, tol=args.tol)
+        found = numerics.reconstruct_from_grams(Gr, Gc)
     except numerics.SpectraMismatchError:
         print("none")
         return EXIT_NO
@@ -399,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("convertible", cmd_convertible,
             help="evaluate the convertibility conditions for a Gram pair")
     p.add_argument("A"); p.add_argument("B")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--json", action="store_true")
 
     p = add("classify", cmd_classify,
@@ -432,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="search for P, Q with B = PAQ")
     p.add_argument("A"); p.add_argument("B")
     p.add_argument("--cap", type=int, default=iso.DEFAULT_NODE_CAP)
-    p.add_argument("--rel-tol", type=float, default=None)
     p.add_argument("--distinct-sv", action="store_true")
 
     p = add("fixable", cmd_fixable,
@@ -455,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="all (0,1) matrices with the given Gram matrices")
     p.add_argument("--grow", required=True)
     p.add_argument("--gcol", required=True)
-    p.add_argument("--tol", type=float, default=None)
 
     return ap
 

@@ -124,10 +124,10 @@ def _span_residual(B: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X - b.T @ np.linalg.solve(b @ b.T, b @ X)
 
 
-def gram_singular_numeric(pair: GramPair, tol: float | None = None) -> GramSingularReport:
+def gram_singular_numeric(pair: GramPair) -> GramSingularReport:
     """Gram singular data from the SVD of (A-B)/2."""
     half = (pair.A.int64() - pair.B.int64()) / 2.0
-    bundle = numerics.svd(half, tol)
+    bundle = numerics.svd(half)
     k = pair.diff_rank
     return GramSingularReport(
         values=tuple(float(s) for s in bundle.sigma[:k]),
@@ -158,7 +158,7 @@ def convertibility(pair: GramPair, tol: float | None = None) -> ConvertibilityRe
     if len(set(checks.values())) != 1:
         raise RuntimeError(f"integer convertibility checks disagree: {checks}")
 
-    report = gram_singular_numeric(pair, tol)
+    report = gram_singular_numeric(pair)
     sv = np.array(report.values)
     U, V = report.left_vectors, report.right_vectors
 

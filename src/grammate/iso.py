@@ -30,7 +30,7 @@ import numpy as np
 
 from .gram import GramPair
 from .matrix_core import BinaryMatrix, Permutation, apply_perms
-from .numerics import DEFAULT_REL_TOL, distinct_singular_values
+from .numerics import distinct_singular_values
 from .rank_forms import classify_rank1
 
 DEFAULT_NODE_CAP = 10**7
@@ -307,11 +307,7 @@ def are_isomorphic(A: BinaryMatrix, B: BinaryMatrix, node_cap: int = DEFAULT_NOD
     return _search(A.int64(), B.int64(), node_cap)
 
 
-def iso_distinct_sv(
-    pair: GramPair,
-    rel_tol: float = DEFAULT_REL_TOL,
-    node_cap: int = DEFAULT_NODE_CAP,
-):
+def iso_distinct_sv(pair: GramPair, node_cap: int = DEFAULT_NODE_CAP):
     """Isomorphism of square mates with all distinct singular values.
 
     B = PAQ for mates means P commutes with AA^T and Q with A^TA.  With
@@ -322,7 +318,7 @@ def iso_distinct_sv(
     a, b = pair.A.int64(), pair.B.int64()
     if a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
-    if not distinct_singular_values(a, rel_tol):
+    if not distinct_singular_values(a):
         raise ValueError("singular values are not all distinct")
     return _search(a, b, node_cap)
 

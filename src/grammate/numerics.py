@@ -1,11 +1,14 @@
 """
-Small dense singular value decomposition and its uses: flipping signs of
-singular values, distinct-spectrum detection, and reconstructing (0,1)
-matrices from their two Gram projections.
+Small dense singular value decomposition and its uses: distinct-spectrum
+detection and reconstructing (0,1) matrices from their two Gram
+projections.
 
 The SVD is LAPACK's, through numpy; with BLAS on one thread identical
-inputs give bitwise-identical output.  Every tolerance argument must be
-finite, positive and at most 1e-3; values below 1e-12, which rounding noise
+inputs give bitwise-identical output.  Every verdict rests on an exact
+integer check, and the floats only cross-check it or propose candidates, so
+each tolerance here is a module constant.  The one argument left is
+`gram.convertibility`'s, read through `scaled_tol`: it must be finite,
+positive and at most 1e-3, and values below 1e-12, which rounding noise
 alone can exceed, are raised to it.  The ceiling keeps a numeric check from
 accepting what the exact integer checks reject: at a tolerance near 1 a
 near-miss reads as a match.
@@ -19,8 +22,9 @@ import numpy as np
 
 from .matrix_core import BinaryMatrix, _in_range
 
-DEFAULT_TOL = 1e-9
-DEFAULT_REL_TOL = 1e-8
+DEFAULT_TOL = 1e-9  # absolute, scaled by the max-norm of the input
+_REL_TOL = 1e-8  # least relative gap between distinct singular values
+_ROUND_TOL = 1e-6  # farthest a candidate entry may lie from {0,1}
 _TOL_FLOOR = 1e-12
 _TOL_CEILING = 1e-3
 
@@ -41,21 +45,17 @@ def _as_float(A) -> np.ndarray:
     return np.array(A, dtype=np.float64)
 
 
-def _checked_tol(tol: float | None, default: float) -> float:
-    """default for None; ValueError unless 0 < tol <= _TOL_CEILING (NaN
-    fails both comparisons); at least _TOL_FLOOR."""
-    if tol is None:
-        return default
-    if not (0 < tol <= _TOL_CEILING):
-        raise ValueError(f"tolerance must be positive and at most {_TOL_CEILING:g}, got {tol}")
-    return max(tol, _TOL_FLOOR)
-
-
 def scaled_tol(A, tol: float | None = None) -> float:
-    """Absolute tolerance scaled by the max-norm of A."""
-    base = _checked_tol(tol, DEFAULT_TOL)
-    a = _as_float(A)
-    return base * max(1.0, float(np.abs(a).max()))
+    """Absolute tolerance (DEFAULT_TOL for None) scaled by the max-norm of A.
+
+    ValueError unless 0 < tol <= _TOL_CEILING (NaN fails both comparisons);
+    a tol below _TOL_FLOOR is raised to it.
+    """
+    if tol is None:
+        tol = DEFAULT_TOL
+    elif not (0 < tol <= _TOL_CEILING):
+        raise ValueError(f"tolerance must be positive and at most {_TOL_CEILING:g}, got {tol}")
+    return max(tol, _TOL_FLOOR) * max(1.0, float(np.abs(_as_float(A)).max()))
 
 
 @dataclass(frozen=True)
@@ -65,73 +65,30 @@ class SvdBundle:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    tol: float
-
-    @property
-    def rank(self) -> int:
-        return int((self.sigma >= self.tol).sum())
-
-    def compose(self, signs=None) -> np.ndarray:
-        """Rebuild U S Sigma V^T, optionally negating selected values."""
-        m, n = self.U.shape[0], self.V.shape[0]
-        s = self.sigma.copy()
-        if signs is not None:
-            s = s * np.asarray(signs, dtype=np.float64)
-        S = np.zeros((m, n))
-        np.fill_diagonal(S, s)
-        return self.U @ S @ self.V.T
 
 
-@dataclass(frozen=True)
-class SignPattern:
-    """Which positive singular values to negate."""
-
-    mask: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", tuple(bool(b) for b in self.mask))
-
-
-def svd(A, tol: float | None = None) -> SvdBundle:
+def svd(A) -> SvdBundle:
     """Full SVD of a small dense matrix."""
-    a = _as_float(A)
-    U, sigma, Vt = np.linalg.svd(a, full_matrices=True)
-    return SvdBundle(U=U, sigma=sigma, V=Vt.T, tol=scaled_tol(a, tol))
+    U, sigma, Vt = np.linalg.svd(_as_float(A), full_matrices=True)
+    return SvdBundle(U=U, sigma=sigma, V=Vt.T)
 
 
-def flip_singular_signs(A, pattern: SignPattern, tol: float | None = None) -> np.ndarray:
-    """Negate the selected positive singular values of A and recompose."""
-    bundle = svd(A, tol)
-    r = bundle.rank
-    if len(pattern.mask) != r:
-        raise ValueError(f"pattern length {len(pattern.mask)} != {r} positive values")
-    if not any(pattern.mask):
-        raise ValueError("pattern must select at least one singular value")
-    signs = np.ones(len(bundle.sigma))
-    for i, flip in enumerate(pattern.mask):
-        if flip:
-            signs[i] = -1.0
-    return bundle.compose(signs)
-
-
-def round_to_binary(B, tol: float | None = None):
-    """Entrywise-nearest (0,1) matrix, or None when some entry is not
-    within tolerance of {0,1}."""
+def round_to_binary(B):
+    """Entrywise-nearest (0,1) matrix, or None when some entry is farther
+    than _ROUND_TOL from {0,1}."""
     b = _as_float(B)
-    t = _checked_tol(tol, DEFAULT_TOL)
     rounded = np.rint(b)
-    if np.abs(b - rounded).max() > t:
+    if np.abs(b - rounded).max() > _ROUND_TOL:
         return None
     if not _in_range(rounded, 0, 1):
         return None
     return BinaryMatrix(rounded.astype(np.int8))
 
 
-def distinct_singular_values(A, rel_tol: float | None = None) -> bool:
+def distinct_singular_values(A) -> bool:
     """True iff consecutive sorted singular values are well separated."""
-    rt = _checked_tol(rel_tol, DEFAULT_REL_TOL)
     sigma = svd(A).sigma
-    return bool((sigma[:-1] - sigma[1:] > rt * np.maximum(1.0, sigma[:-1])).all())
+    return bool((sigma[:-1] - sigma[1:] > _REL_TOL * np.maximum(1.0, sigma[:-1])).all())
 
 
 def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
@@ -145,27 +102,41 @@ def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _int_gram(G) -> np.ndarray:
+    """G as an int64 array; ValueError unless every entry is a finite
+    integer, checked before any cast could truncate it."""
+    g = np.asarray(G)
+    if g.dtype.kind in "bi":
+        return g.astype(np.int64)
+    f = g.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        out = f.astype(np.int64)
+    # NaN, infinities, fractions and values beyond int64 do not survive the cast
+    if not (out == f).all():
+        raise ValueError("Gram entries must be integers")
+    return out
+
+
 def _positive_eigs(G: np.ndarray, tol: float):
     vals, vecs = np.linalg.eigh(G)
     keep = vals > tol
     return vals[keep], _canonical_sign(vecs[:, keep])
 
 
-def reconstruct_from_grams(G_row, G_col, tol: float | None = None) -> list[BinaryMatrix]:
+def reconstruct_from_grams(G_row, G_col) -> list[BinaryMatrix]:
     """All (0,1) matrices B with BB^T = G_row and B^T B = G_col.
 
     Requires simple positive spectra.  Eigendecomposes both Grams, pairs the
     positive eigenvectors, and searches all 2^r sign assignments; every
     returned matrix is verified exactly in integers.
     """
-    Gr = np.array(G_row, dtype=np.int64)
-    Gc = np.array(G_col, dtype=np.int64)
+    Gr, Gc = _int_gram(G_row), _int_gram(G_col)
     if Gr.shape[0] != Gr.shape[1] or Gc.shape[0] != Gc.shape[1]:
         raise ValueError("Gram matrices must be square")
     if (Gr != Gr.T).any() or (Gc != Gc.T).any():
         raise ValueError("Gram matrices must be symmetric")
     scale = max(1.0, float(np.abs(Gr).max()), float(np.abs(Gc).max()))
-    t = _checked_tol(tol, DEFAULT_TOL) * scale
+    t = DEFAULT_TOL * scale
 
     rvals, rvecs = _positive_eigs(Gr.astype(np.float64), t)
     cvals, cvecs = _positive_eigs(Gc.astype(np.float64), t)
@@ -184,7 +155,7 @@ def reconstruct_from_grams(G_row, G_col, tol: float | None = None) -> list[Binar
         for i in range(r):
             s = -1.0 if (bits >> i) & 1 else 1.0
             B += s * roots[i] * np.outer(rvecs[:, i], cvecs[:, i])
-        cand = round_to_binary(B, 1e-6)
+        cand = round_to_binary(B)
         if cand is None:
             continue
         b = cand.int64()

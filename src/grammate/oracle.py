@@ -60,7 +60,6 @@ def enumerate_gram_pairs(
     row_sums_filter=None,
     col_sums_filter=None,
     diff_rank: int | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> list[GramPair]:
     """All unordered Gram pairs of shape m x n, in lexicographic bit order.
 
@@ -71,12 +70,12 @@ def enumerate_gram_pairs(
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
-    if m * n > cell_cap:
-        raise OracleCapError(f"{m}x{n} exceeds the {cell_cap}-cell cap")
+    if m * n > DEFAULT_CELL_CAP:
+        raise OracleCapError(f"{m}x{n} exceeds the {DEFAULT_CELL_CAP}-cell cap")
     rfilt = tuple(row_sums_filter) if row_sums_filter is not None else None
     cfilt = tuple(col_sums_filter) if col_sums_filter is not None else None
 
-    # Gram entries are at most max(m, n) <= cell_cap, so int8 holds them
+    # Gram entries are at most max(m, n) <= DEFAULT_CELL_CAP, so int8 holds them
     rows_iu, cols_iu = np.triu_indices(m), np.triu_indices(n)
     kept, keys = [], []
     for start in range(0, 1 << (m * n), _BLOCK):
@@ -133,10 +132,12 @@ def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -
     expanded by every candidate row in one numpy step: the partial column
     sums are bounded against the remaining rows in one comparison, and the
     products with the rows above, one (F*i, n) @ (n, K) product, must match
-    AA^T.  The survivors are the next level's frontier.  Chunks are expanded
-    depth first, and a chunk's F partial matrices times K candidate rows of
-    length n make at most _BLOCK entries (or one partial matrix, if K * n is
-    larger), so the temporaries stay bounded however wide a level grows.
+    AA^T.  The survivors are the next level's frontier.  The complete
+    matrices other than A are kept when both Gram identities hold exactly,
+    checked for a whole block at once.  Chunks are expanded depth first, and
+    a chunk's F partial matrices times K candidate rows of length n make at
+    most _BLOCK entries (or one partial matrix, if K * n is larger), so the
+    temporaries stay bounded however wide a level grows.
 
     One node is one candidate row tried for one partial matrix, pruned or
     not, so a chunk of F partial matrices at level i costs F * C(n, s_i)
@@ -147,7 +148,7 @@ def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -
     node_cap.
     """
     a = A.int64()
-    g = a @ a.T
+    g, gc = a @ a.T, a.T @ a
     m, n = a.shape
     rs = a.sum(axis=1).tolist()
     cs = a.sum(axis=0)
@@ -159,10 +160,12 @@ def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -
         # front: (F, m, n) partial matrices with rows i.. zero; col: their column sums
         nonlocal budget
         if i == m:
-            for b in front[(front != A.data).any(axis=(1, 2))]:
-                B = BinaryMatrix(b)
-                if is_gram_pair(A, B) is not None:
-                    found.append(B)
+            # both Gram identities, exactly, for the whole block of leaves
+            leaves = front[(front != A.data).any(axis=(1, 2))]
+            b = leaves.astype(np.int64)
+            ok = ((np.einsum("kij,klj->kil", b, b) == g).all(axis=(1, 2))
+                  & (np.einsum("kji,kjl->kil", b, b) == gc).all(axis=(1, 2)))
+            found.extend(BinaryMatrix(x) for x in leaves[ok])
             return
         s, k = rs[i], math.comb(n, rs[i])
         step = max(1, _BLOCK // (k * n))

@@ -134,26 +134,14 @@ def classify_rank1(E: SignedMatrix):
     return form
 
 
-def rank1_complete(form: Rank1Form, border_dims=None) -> BinaryMatrix:
+def rank1_complete(form: Rank1Form) -> BinaryMatrix:
     """Witness A with zero borders, in E's original coordinates."""
     k1, k2 = form.k1, form.k2
-    m0, n0 = form.shape
-    p0, q0 = m0 - 2 * k1, n0 - 2 * k2
-    row_perm, col_perm = form.row_perm, form.col_perm
-    if border_dims is not None:
-        p, q = border_dims
-        if (p0, q0) not in ((0, 0), (p, q)):
-            raise ValueError("border_dims conflict with the form's stored size")
-        if (p0, q0) == (0, 0) and (p, q) != (0, 0):
-            row_perm = Permutation(tuple(list(form.row_perm.image) + list(range(2 * k1, 2 * k1 + p))))
-            col_perm = Permutation(tuple(list(form.col_perm.image) + list(range(2 * k2, 2 * k2 + q))))
-    else:
-        p, q = p0, q0
     j = _J(k1, k2)
-    canon = np.zeros((2 * k1 + p, 2 * k2 + q), dtype=np.int8)
+    canon = np.zeros(form.shape, dtype=np.int8)
     canon[:k1, k2 : 2 * k2] = j
     canon[k1 : 2 * k1, :k2] = j
-    return apply_perms(BinaryMatrix(canon), row_perm.inverse(), col_perm.inverse())
+    return apply_perms(BinaryMatrix(canon), form.row_perm.inverse(), form.col_perm.inverse())
 
 
 def rank1_gram_data(form: Rank1Form) -> GramSingularReport:
@@ -612,32 +600,39 @@ def rank2_complete(form: Rank2Form) -> BinaryMatrix:
         raise NotRealizableError(f"form {form.mtype} {form.as_dict()} is not realizable")
     d = form.as_dict()
     core = _complete_m5(d) if form.mtype == "M5" else _complete_m4(*_as_m4_indices(form))
-    m_can, n_can = form.row_perm.size, form.col_perm.size
-    full = np.zeros((m_can, n_can), dtype=np.int8)
+    full = np.zeros((form.row_perm.size, form.col_perm.size), dtype=np.int8)
     full[: core.shape[0], : core.shape[1]] = core
-    A = apply_perms(
-        BinaryMatrix(full), form.row_perm.inverse(), form.col_perm.inverse()
-    )
-    if form.transposed:
-        A = A.transpose()
+    A, E = _to_original(form, BinaryMatrix(full), _padded_canonical_E(form))
     # never emit an unverified witness, also under python -O
-    if not is_realizable_witness(reconstruct_E(form), A):
+    if not is_realizable_witness(E, A):
         raise RuntimeError(f"completion of {form.mtype} {d} failed Gram verification")
     return A
 
 
 def reconstruct_E(form: Rank2Form) -> SignedMatrix:
     """The original difference matrix described by the form."""
+    (E,) = _to_original(form, _padded_canonical_E(form))
+    return E
+
+
+def _padded_canonical_E(form: Rank2Form) -> SignedMatrix:
+    """canonical_rank2_E of the form, padded with zeros to the form's size."""
     d = form.as_dict()
-    col_sizes = sum(d[n] for n in _M_LAYOUT[form.mtype][0])
-    row_sizes = sum(_row_group_sizes(form.mtype, d))
-    pad_r = form.row_perm.size - row_sizes
-    pad_c = form.col_perm.size - col_sizes
-    canon = canonical_rank2_E(form.mtype, d, pad_r, pad_c)
-    e = apply_perms(canon, form.row_perm.inverse(), form.col_perm.inverse())
-    if form.transposed:
-        e = e.transpose()
-    return e
+    pad_r = form.row_perm.size - sum(_row_group_sizes(form.mtype, d))
+    pad_c = form.col_perm.size - sum(d[n] for n in _M_LAYOUT[form.mtype][0])
+    return canonical_rank2_E(form.mtype, d, pad_r, pad_c)
+
+
+def _to_original(form: Rank2Form, *mats):
+    """Matrices in the form's canonical coordinates, mapped back to E's.
+
+    With P, Q the form's row and column permutations, original entry (i, j)
+    is canonical entry (P(i), Q(j)) (of the transpose when form.transposed),
+    so mapping back gathers by the images and inverts neither permutation.
+    """
+    rows, cols = np.ix_(form.row_perm.image, form.col_perm.image)
+    out = [type(M)(M.data[rows, cols]) for M in mats]
+    return [M.transpose() for M in out] if form.transposed else out
 
 
 # ---------------------------------------------------------------------------

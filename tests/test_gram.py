@@ -175,10 +175,10 @@ class TestConvertibility:
             g[0, -1], g[-1, 0] = -np.sin(angle), np.sin(angle)
             return g
 
-        def rotated(a, tol=None):
-            b = real(a, tol)
+        def rotated(a):
+            b = real(a)
             return numerics.SvdBundle(U=b.U @ givens(len(b.U)), sigma=b.sigma,
-                                      V=b.V @ givens(len(b.V)), tol=b.tol)
+                                      V=b.V @ givens(len(b.V)))
 
         monkeypatch.setattr(numerics, "svd", rotated)
         A, B, _ = rank1_example
@@ -192,7 +192,7 @@ class TestConvertibility:
         A = BinaryMatrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
         B = BinaryMatrix(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
         e = np.eye(3)[:, ::-1]
-        monkeypatch.setattr(numerics, "svd", lambda a, tol=None: numerics.SvdBundle(
-            U=e, sigma=np.zeros(3), V=e, tol=numerics.DEFAULT_TOL))
+        monkeypatch.setattr(numerics, "svd", lambda a: numerics.SvdBundle(
+            U=e, sigma=np.zeros(3), V=e))
         with pytest.raises(RuntimeError, match="numeric"):
             convertibility(is_gram_pair(A, B))

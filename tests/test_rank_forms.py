@@ -115,8 +115,9 @@ class TestRank1Complete:
         assert (rank1_complete(f).data == np.array([[0, 0, 1, 1], [1, 1, 0, 0]])).all()
 
     def test_with_border_dims(self):
-        f = classify_rank1(canonical_rank1_E(2, 2))
-        A = rank1_complete(f, border_dims=(3, 3))
+        # the zero borders come from the classified E's own size
+        f = classify_rank1(canonical_rank1_E(2, 2, 3, 3))
+        A = rank1_complete(f)
         assert A.shape == (7, 7)
         e = canonical_rank1_E(2, 2, 3, 3).int64()
         b = A.int64() + e
