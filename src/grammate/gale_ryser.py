@@ -154,34 +154,28 @@ def _even_core(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     )
 
 
-def _swap_row_blocks(a: np.ndarray, top: int) -> np.ndarray:
-    return np.vstack([a[top:], a[:top]])
-
-
-def _swap_col_blocks(a: np.ndarray, left: int) -> np.ndarray:
-    return np.hstack([a[:, left:], a[:, :left]])
+def _even_layout(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
+    """even_block's layout, for any sizes with both pair sums even, zero
+    sizes included.  Orientations with m1 < m2 or n1 < n2 are obtained
+    from the canonical layout by block swaps."""
+    a = _even_core(max(m1, m2), min(m1, m2), max(n1, n2), min(n1, n2))
+    if m1 < m2:
+        a = np.vstack([a[m2:], a[:m2]])
+    if n1 < n2:
+        a = np.hstack([a[:, n2:], a[:, :n2]])
+    return a
 
 
 def even_block(m1: int, m2: int, n1: int, n2: int) -> BinaryMatrix:
     """X with X(1;-1) = ((n1-n2)/2)*1 and X^T(1;-1) = ((m1-m2)/2)*1.
 
-    Requires all four sizes positive and both pair sums even.  Orientations
-    with m1 < m2 or n1 < n2 are obtained from the canonical layout by block
-    swaps.
+    Requires all four sizes positive and both pair sums even.
     """
     if min(m1, m2, n1, n2) <= 0:
         raise ValueError("all block sizes must be positive")
     if (m1 + m2) % 2 or (n1 + n2) % 2:
         raise ValueError("pair sums must be even")
-    if m1 >= m2 and n1 >= n2:
-        a = _even_core(m1, m2, n1, n2)
-    elif m1 < m2 and n1 < n2:
-        a = _even_core(m2, m1, n2, n1)
-        a = _swap_col_blocks(_swap_row_blocks(a, m2), n2)
-    elif m1 >= m2:
-        a = _swap_col_blocks(_even_core(m1, m2, n2, n1), n2)
-    else:
-        a = _swap_row_blocks(_even_core(m2, m1, n1, n2), m2)
+    a = _even_layout(m1, m2, n1, n2)
     h_r = (n1 - n2) // 2
     h_c = (m1 - m2) // 2
     if not check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, h_r, h_r, h_c, h_c):

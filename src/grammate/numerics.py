@@ -131,8 +131,8 @@ def reconstruct_from_grams(G_row, G_col) -> list[BinaryMatrix]:
     returned matrix is verified exactly in integers.
     """
     Gr, Gc = _int_gram(G_row), _int_gram(G_col)
-    if Gr.shape[0] != Gr.shape[1] or Gc.shape[0] != Gc.shape[1]:
-        raise ValueError("Gram matrices must be square")
+    if any(g.ndim != 2 or g.shape[0] != g.shape[1] for g in (Gr, Gc)):
+        raise ValueError("Gram matrices must be 2-D and square")
     if (Gr != Gr.T).any() or (Gc != Gc.T).any():
         raise ValueError("Gram matrices must be symmetric")
     scale = max(1.0, float(np.abs(Gr).max()), float(np.abs(Gc).max()))

@@ -8,11 +8,20 @@ decides realizability, completes a form to a concrete witness A (so that
 (A, A+E) is a Gram pair), and produces closed-form Gram singular data.
 Whether a given A is a witness is gram.is_realizable_witness's question.
 
-Classification is a column-signature lookup.  The live rows of E split
-into sign-normalised patterns (one for rank 1, two or three for rank 2);
-each live column's entries across the patterns form its signature, and the
-set of signatures names the form and the order and signs of its basis
-patterns.
+One table, _LAYOUT, describes the six canonical forms.  Classification is
+a column-signature lookup.  The live rows of E split into sign-normalised
+patterns (one for rank 1, two or three for rank 2); each live column's
+entries across the patterns form its signature, and the set of signatures
+names the form and the order and signs of its basis patterns.
+
+Completion has no layout of its own.  A + E must be a (0,1) matrix, which
+forces A = 1 where E = -1 and A = 0 where E = 1, so every witness is
+[E = -1] with its zero cells built.  The zero rows and columns of E stay
+zero in A.  The other zero cells are, for each basis pattern, its two row
+groups by its zero columns, two adjacent column groups; each such block
+is filled at once: with a half strip for M2-M4, and for M5 with the
+blocks X, Y and Z of the paper's lemmas or, where their hypotheses fail,
+of a backtracking search.
 """
 
 from __future__ import annotations
@@ -28,13 +37,7 @@ import numpy as np
 from . import gale_ryser
 from .gale_ryser import _J, _Z
 from .gram import GramSingularReport, is_realizable_witness
-from .matrix_core import (
-    BinaryMatrix,
-    Permutation,
-    SignedMatrix,
-    apply_perms,
-    rank_exact,
-)
+from .matrix_core import BinaryMatrix, Permutation, SignedMatrix, rank_exact
 
 
 class FormMatchError(RuntimeError):
@@ -45,12 +48,71 @@ class NotRealizableError(ValueError):
     """Completion was requested for a non-realizable form."""
 
 
+# (row groups, column groups, basis patterns) of each canonical E, "R1"
+# being the rank-1 form: row group 2t carries basis pattern t and row group
+# 2t+1 its negation, entry g of a pattern filling column group g.  A name
+# that repeats names groups of equal size.
+_KL = ("k", "k", "l", "l")
+_LAYOUT = {
+    "R1": (("k1", "k1"), ("k2", "k2"), ((1, -1),)),
+    "M1": (_KL, ("a", "b", "b", "a"), ((1, 1, -1, -1), (1, -1, 1, -1))),
+    "M2": (_KL, ("e", "f", "g", "h"), ((1, -1, 0, 0), (0, 0, 1, -1))),
+    "M3": (_KL, tuple("abcdef"), ((1, 1, -1, -1, 1, -1), (1, -1, 1, -1, 0, 0))),
+    "M4": (_KL, tuple("abcdefgh"), ((1, 1, -1, -1, 1, -1, 0, 0), (1, -1, 1, -1, 0, 0, 1, -1))),
+    "M5": (
+        tuple("klpqrs"),
+        tuple("abcdef"),
+        ((1, -1, 1, -1, 0, 0), (1, -1, 0, 0, 1, -1), (0, 0, 1, -1, -1, 1)),
+    ),
+}
+
+# the index names of each rank-2 form: its row names, then its column names
+M_INDEX_NAMES = {
+    m: tuple(dict.fromkeys(rows + cols)) for m, (rows, cols, _) in _LAYOUT.items() if m != "R1"
+}
+# the entries of each row group across the column groups, in _LAYOUT order
+_GROUP_ROWS = {
+    m: np.array([row for pat in pats for row in (pat, [-x for x in pat])], dtype=np.int8)
+    for m, (_, _, pats) in _LAYOUT.items()
+}
+# signature of each column group across the basis patterns, in _LAYOUT order
+_COL_SIGS = {m: tuple(zip(*pats)) for m, (_, _, pats) in _LAYOUT.items()}
+
+
+def _core(mtype: str, idx: dict[str, int]) -> np.ndarray:
+    """The canonical E of a form without its zero rows and columns, int8."""
+    rows, cols, _ = _LAYOUT[mtype]
+    core = np.repeat(_GROUP_ROWS[mtype], [idx[n] for n in rows], axis=0)
+    return np.repeat(core, [idx[n] for n in cols], axis=1)
+
+
+def _pad(a: np.ndarray, shape) -> np.ndarray:
+    """a in the leading corner of a zero array of the given shape."""
+    out = np.zeros(shape, dtype=a.dtype)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def _canonical(mtype: str, idx: dict[str, int], pad_rows: int, pad_cols: int) -> SignedMatrix:
+    core = _core(mtype, idx)
+    return SignedMatrix(_pad(core, (core.shape[0] + pad_rows, core.shape[1] + pad_cols)))
+
+
+def _spread(signs, names, idx: dict[str, int]) -> np.ndarray:
+    """A float vector holding signs[g] on every index of the group names[g]."""
+    return np.repeat(np.array(signs, dtype=np.float64), [idx[n] for n in names])
+
+
 def _perm_from_order(order) -> Permutation:
     """Permutation sending original index order[pos] to position pos."""
     image = [0] * len(order)
     for pos, orig in enumerate(order):
         image[orig] = pos
     return Permutation(tuple(image))
+
+
+# ---------------------------------------------------------------------------
+# classification
 
 
 def _pattern_split(b: np.ndarray):
@@ -82,6 +144,126 @@ def _pattern_split(b: np.ndarray):
     return plus, minus, groups, np.flatnonzero(~live_rows).tolist(), np.flatnonzero(~live_cols).tolist()
 
 
+@functools.cache
+def _match(sigs: frozenset):
+    """(mtype, pattern order, pattern signs) of the first form that fits the
+    column signatures sigs, or None; classify_rank2 gives the order tried.
+
+    A fit maps sigs into the form's column signatures and meets every
+    support class among them (M3, say, needs a column on both patterns and
+    one on the first alone).  The zero sums supply the rest of the block
+    structure.  Signatures that fit lie in a plane, as those of any rank-2
+    split do, so a fit implies rank 2.  A key holds at most 26 signatures,
+    at most eight when E has rank 2, so the cache stays small.
+    """
+    width = len(next(iter(sigs)))
+    for mtype in (m for m, (_, _, pats) in _LAYOUT.items() if len(pats) == width):
+        allowed = set(_COL_SIGS[mtype])
+        classes = {tuple(x != 0 for x in sig) for sig in allowed}
+        for order in itertools.permutations(range(width)):
+            for signs in itertools.product((1, -1), repeat=width):
+                moved = {tuple(s * sig[t] for t, s in zip(order, signs)) for sig in sigs}
+                if moved <= allowed and {tuple(x != 0 for x in sig) for sig in moved} == classes:
+                    return mtype, order, signs
+    return None
+
+
+def _zero_sum(E: SignedMatrix):
+    """E as int64, or None when a row or column sum is nonzero."""
+    a = E.int64()
+    if not a.any():
+        raise ValueError("E must be nonzero")
+    if a.sum(axis=1).any() or a.sum(axis=0).any():
+        return None
+    return a
+
+
+def _fit(b: np.ndarray, widths):
+    """(mtype, indices, row_perm, col_perm) of the form that fits the
+    zero-sum matrix b with a pattern count in widths, else None.
+
+    The permutations send b's rows and columns to their places in the
+    padded canonical E, whose indices are the group sizes of the split.
+    """
+    plus, minus, groups, zero_rows, zero_cols = _pattern_split(b)
+    hit = _match(frozenset(groups)) if len(plus) in widths else None
+    if hit is None:
+        return None
+    mtype, order, signs = hit
+    bands = [(plus[t], minus[t]) if s > 0 else (minus[t], plus[t]) for t, s in zip(order, signs)]
+    row_groups = [g for band in bands for g in band]
+    moved = {tuple(s * sig[t] for t, s in zip(order, signs)): cols for sig, cols in groups.items()}
+    col_groups = [moved.get(sig, []) for sig in _COL_SIGS[mtype]]
+    rows, cols, _ = _LAYOUT[mtype]
+    # a name that repeats is set twice; the zero sums make both counts equal
+    idx = dict(zip(rows + cols, map(len, row_groups + col_groups)))
+    row_order = [i for g in row_groups for i in g] + zero_rows
+    col_order = [j for g in col_groups for j in g] + zero_cols
+    canon = _pad(_core(mtype, idx), b.shape)
+    if not np.array_equal(b.take(row_order, 0).take(col_order, 1), canon):
+        raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
+    return mtype, idx, _perm_from_order(row_order), _perm_from_order(col_order)
+
+
+# ---------------------------------------------------------------------------
+# canonical coordinates: the padded E, the way back, the witness
+
+
+def _canonical_of(form):
+    """(layout name, indices, padded canonical E) of a rank-1 or rank-2 form."""
+    if isinstance(form, Rank1Form):
+        mtype, idx = "R1", {"k1": form.k1, "k2": form.k2}
+    else:
+        mtype, idx = form.mtype, form.as_dict()
+    return mtype, idx, _pad(_core(mtype, idx), (form.row_perm.size, form.col_perm.size))
+
+
+def _to_original(form, *mats):
+    """Matrices in the form's canonical coordinates, mapped back to E's.
+
+    With P, Q the form's row and column permutations, original entry (i, j)
+    is canonical entry (P(i), Q(j)) (of the transpose when form.transposed),
+    so mapping back gathers by the images and inverts neither permutation.
+    """
+    out = [M.take(form.row_perm.image, 0).take(form.col_perm.image, 1) for M in mats]
+    return [M.T for M in out] if isinstance(form, Rank2Form) and form.transposed else out
+
+
+def _report(form, values, rights, lefts, source: str) -> GramSingularReport:
+    """Singular values with canonical right and left vectors, the vectors
+    padded with zeros and mapped back to E's coordinates as _to_original
+    maps matrices."""
+    right, left = (
+        _pad(np.column_stack(vecs), (perm.size, len(vecs))).take(perm.image, 0)
+        for vecs, perm in ((rights, form.col_perm), (lefts, form.row_perm))
+    )
+    if isinstance(form, Rank2Form) and form.transposed:
+        right, left = left, right
+    return GramSingularReport(
+        values=tuple(values), right_vectors=right, left_vectors=left, source=source
+    )
+
+
+def _fill(E: np.ndarray, mtype: str, idx: dict[str, int], block) -> np.ndarray:
+    """The witness [E = -1] with block(t, m1, m2, n1, n2) on the zero cells
+    of each basis pattern t that has any.
+
+    E is the form's canonical matrix, padded or not.  Pattern t's zero
+    cells lie in its row groups, of sizes m1 and m2, and its two zero
+    column groups, which are adjacent in every layout, of sizes n1 and n2.
+    """
+    A = (E == -1).astype(np.int8)
+    rows, cols, pats = _LAYOUT[mtype]
+    r = list(itertools.accumulate((idx[n] for n in rows), initial=0))
+    c = list(itertools.accumulate((idx[n] for n in cols), initial=0))
+    for t, pat in enumerate(pats):
+        if 0 in pat:
+            g = pat.index(0)
+            sizes = idx[rows[2 * t]], idx[rows[2 * t + 1]], idx[cols[g]], idx[cols[g + 1]]
+            A[r[2 * t] : r[2 * t + 2], c[g] : c[g + 2]] = block(t, *sizes)
+    return A
+
+
 # ---------------------------------------------------------------------------
 # rank 1
 
@@ -103,94 +285,38 @@ class Rank1Form:
 
 
 def canonical_rank1_E(k1: int, k2: int, pad_rows: int = 0, pad_cols: int = 0) -> SignedMatrix:
-    j = _J(k1, k2)
-    core = np.block([[j, -j], [-j, j]])
-    out = np.zeros((2 * k1 + pad_rows, 2 * k2 + pad_cols), dtype=np.int8)
-    out[: 2 * k1, : 2 * k2] = core
-    return SignedMatrix(out)
+    return _canonical("R1", {"k1": k1, "k2": k2}, pad_rows, pad_cols)
 
 
 def classify_rank1(E: SignedMatrix):
     """Rank1Form for a rank-1 zero-sum difference matrix, else None."""
-    a = E.int64()
-    if not a.any():
-        raise ValueError("E must be nonzero")
-    if a.sum(axis=1).any() or a.sum(axis=0).any():
-        return None
-    plus, minus, groups, zero_rows, zero_cols = _pattern_split(a)
-    cplus, cminus = groups.get((1,), []), groups.get((-1,), [])
+    a = _zero_sum(E)
     # a nonzero {-1,0,1} matrix has one row pattern exactly when its rank is 1
-    if len(plus) != 1 or len(plus[0]) != len(minus[0]) or len(cplus) != len(cminus):
+    fit = None if a is None else _fit(a, (1,))
+    if fit is None:
         return None
-    form = Rank1Form(
-        k1=len(plus[0]),
-        k2=len(cplus),
-        row_perm=_perm_from_order(plus[0] + minus[0] + zero_rows),
-        col_perm=_perm_from_order(cplus + cminus + zero_cols),
-    )
-    canon = canonical_rank1_E(form.k1, form.k2, len(zero_rows), len(zero_cols))
-    if apply_perms(E, form.row_perm, form.col_perm) != canon:
-        return None
-    return form
+    _, idx, row_perm, col_perm = fit
+    return Rank1Form(k1=idx["k1"], k2=idx["k2"], row_perm=row_perm, col_perm=col_perm)
 
 
 def rank1_complete(form: Rank1Form) -> BinaryMatrix:
     """Witness A with zero borders, in E's original coordinates."""
-    k1, k2 = form.k1, form.k2
-    j = _J(k1, k2)
-    canon = np.zeros(form.shape, dtype=np.int8)
-    canon[:k1, k2 : 2 * k2] = j
-    canon[k1 : 2 * k1, :k2] = j
-    return apply_perms(BinaryMatrix(canon), form.row_perm.inverse(), form.col_perm.inverse())
+    mtype, idx, E = _canonical_of(form)
+    (A,) = _to_original(form, _fill(E, mtype, idx, None))
+    return BinaryMatrix(A)
 
 
 def rank1_gram_data(form: Rank1Form) -> GramSingularReport:
     """Closed-form Gram singular value sqrt(k1*k2) with its vector pair."""
-    k1, k2 = form.k1, form.k2
-    m, n = form.shape
-    v = np.zeros(n)
-    v[: 2 * k2] = np.concatenate([np.ones(k2), -np.ones(k2)]) / math.sqrt(2 * k2)
-    u = np.zeros(m)
-    u[: 2 * k1] = np.concatenate([-np.ones(k1), np.ones(k1)]) / math.sqrt(2 * k1)
-    # back to the original coordinates
-    v = v[list(form.col_perm.image)]
-    u = u[list(form.row_perm.image)]
-    return GramSingularReport(
-        values=(math.sqrt(k1 * k2),),
-        right_vectors=v.reshape(-1, 1),
-        left_vectors=u.reshape(-1, 1),
-        source="closed_form_rank1",
-    )
+    rows, cols, (pat,) = _LAYOUT["R1"]
+    idx = {"k1": form.k1, "k2": form.k2}
+    v = _spread(pat, cols, idx) / math.sqrt(2 * form.k2)
+    u = _spread((-1, 1), rows, idx) / math.sqrt(2 * form.k1)  # (-E/2) v = sigma u
+    return _report(form, (math.sqrt(form.k1 * form.k2),), [v], [u], "closed_form_rank1")
 
 
 # ---------------------------------------------------------------------------
-# rank 2: form descriptions
-
-M_INDEX_NAMES = {
-    "M1": ("k", "l", "a", "b"),
-    "M2": ("k", "l", "e", "f", "g", "h"),
-    "M3": ("k", "l", "a", "b", "c", "d", "e", "f"),
-    "M4": ("k", "l", "a", "b", "c", "d", "e", "f", "g", "h"),
-    "M5": ("k", "l", "p", "q", "r", "s", "a", "b", "c", "d", "e", "f"),
-}
-
-# column-group sign patterns of the two (M1-M4) / three (M5) basis rows
-_M_LAYOUT = {
-    "M1": (("a", "b", "b", "a"), ((1, 1, -1, -1), (1, -1, 1, -1))),
-    "M2": (("e", "f", "g", "h"), ((1, -1, 0, 0), (0, 0, 1, -1))),
-    "M3": (("a", "b", "c", "d", "e", "f"), ((1, 1, -1, -1, 1, -1), (1, -1, 1, -1, 0, 0))),
-    "M4": (
-        ("a", "b", "c", "d", "e", "f", "g", "h"),
-        ((1, 1, -1, -1, 1, -1, 0, 0), (1, -1, 1, -1, 0, 0, 1, -1)),
-    ),
-    "M5": (
-        ("a", "b", "c", "d", "e", "f"),
-        ((1, -1, 1, -1, 0, 0), (1, -1, 0, 0, 1, -1), (0, 0, 1, -1, -1, 1)),
-    ),
-}
-
-# signature of each column group across the basis rows, in _M_LAYOUT order
-_COL_SIGS = {m: tuple(zip(*pats)) for m, (_, pats) in _M_LAYOUT.items()}
+# rank 2: forms and classification
 
 
 @dataclass(frozen=True)
@@ -211,52 +337,12 @@ class Rank2Form:
         return dict(self.indices)
 
 
-def _row_group_sizes(mtype: str, idx: dict[str, int]) -> list[int]:
-    if mtype == "M5":
-        return [idx[n] for n in ("k", "l", "p", "q", "r", "s")]
-    return [idx["k"], idx["k"], idx["l"], idx["l"]]
-
-
 def canonical_rank2_E(
     mtype: str, idx: dict[str, int], pad_rows: int = 0, pad_cols: int = 0
 ) -> SignedMatrix:
-    col_names, pats = _M_LAYOUT[mtype]
-    pats = np.array(pats, dtype=np.int8)
-    # row groups in _row_group_sizes order: each basis pattern, then its negation
-    table = np.stack([pats, -pats], axis=1).reshape(-1, pats.shape[1])
-    core = np.repeat(table, _row_group_sizes(mtype, idx), axis=0)
-    core = np.repeat(core, [idx[n] for n in col_names], axis=1)
-    out = np.zeros((core.shape[0] + pad_rows, core.shape[1] + pad_cols), dtype=np.int8)
-    out[: core.shape[0], : core.shape[1]] = core
-    return SignedMatrix(out)
-
-
-# ---------------------------------------------------------------------------
-# rank 2: classification
-
-
-@functools.cache
-def _match(sigs: frozenset):
-    """(mtype, pattern order, pattern signs) of the first form that fits the
-    column signatures sigs, or None; classify_rank2 gives the order tried.
-
-    A fit maps sigs into the form's column signatures and meets every
-    support class among them (M3, say, needs a column on both patterns and
-    one on the first alone).  The zero sums supply the rest of the block
-    structure.  Signatures that fit lie in a plane, as those of any rank-2
-    split do, so a fit implies rank 2.  A key holds at most 26 signatures,
-    at most eight when E has rank 2, so the cache stays small.
-    """
-    width = len(next(iter(sigs)))
-    for mtype in ("M1", "M2", "M3", "M4") if width == 2 else ("M5",):
-        allowed = set(_COL_SIGS[mtype])
-        classes = {tuple(x != 0 for x in sig) for sig in allowed}
-        for order in itertools.permutations(range(width)):
-            for signs in itertools.product((1, -1), repeat=width):
-                moved = {tuple(s * sig[t] for t, s in zip(order, signs)) for sig in sigs}
-                if moved <= allowed and {tuple(x != 0 for x in sig) for sig in moved} == classes:
-                    return mtype, order, signs
-    return None
+    if mtype not in M_INDEX_NAMES:
+        raise ValueError(f"unknown form tag {mtype}")
+    return _canonical(mtype, idx, pad_rows, pad_cols)
 
 
 def classify_rank2(E: SignedMatrix):
@@ -275,38 +361,15 @@ def classify_rank2(E: SignedMatrix):
     Raises FormMatchError for a rank-2 zero-sum matrix that matches none of
     the five forms in either orientation (such a matrix is not realizable).
     """
-    a = E.int64()
-    if not a.any():
-        raise ValueError("E must be nonzero")
-    if a.sum(axis=1).any() or a.sum(axis=0).any():
+    a = _zero_sum(E)
+    if a is None:
         return None
-
     for transposed in (False, True):
-        b = a.T if transposed else a
-        plus, minus, groups, zero_rows, zero_cols = _pattern_split(b)
-        hit = _match(frozenset(groups)) if len(plus) in (2, 3) else None
-        if hit is None:
-            continue
-        mtype, order, signs = hit
-        bands = [(plus[t], minus[t]) if s > 0 else (minus[t], plus[t]) for t, s in zip(order, signs)]
-        moved = {tuple(s * sig[t] for t, s in zip(order, signs)): cols for sig, cols in groups.items()}
-        col_groups = [moved.get(sig, []) for sig in _COL_SIGS[mtype]]
-        # M1 names each of a, b twice; the zero row sums make both counts equal
-        idx = dict(zip(_M_LAYOUT[mtype][0], map(len, col_groups)))
-        sizes = [len(part) for band in bands for part in band]
-        idx.update(zip("klpqrs", sizes) if mtype == "M5" else (("k", sizes[0]), ("l", sizes[2])))
-        row_order = [i for band in bands for part in band for i in part] + zero_rows
-        col_order = [j for cols in col_groups for j in cols] + zero_cols
-        canon = canonical_rank2_E(mtype, idx, len(zero_rows), len(zero_cols))
-        if not np.array_equal(b[np.ix_(row_order, col_order)], canon.data):
-            raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
-        return Rank2Form(
-            mtype=mtype,
-            indices=tuple((nm, idx[nm]) for nm in M_INDEX_NAMES[mtype]),
-            row_perm=_perm_from_order(row_order),
-            col_perm=_perm_from_order(col_order),
-            transposed=transposed,
-        )
+        fit = _fit(a.T if transposed else a, (2, 3))
+        if fit is not None:
+            mtype, idx, row_perm, col_perm = fit
+            indices = tuple((nm, idx[nm]) for nm in M_INDEX_NAMES[mtype])
+            return Rank2Form(mtype, indices, row_perm, col_perm, transposed)
     # a match maps E onto a canonical form, which has rank 2, so the rank is
     # needed only to tell "not rank 2" from "no form" when nothing matched
     if rank_exact(E) != 2:
@@ -343,59 +406,16 @@ def rank2_realizable(form: Rank2Form) -> bool:
 # rank 2: completion
 
 
-def _half_strip(rows: int, w1: int, w2: int) -> np.ndarray:
-    """rows x (w1+w2) block whose signed row sums are all (w1-w2)/2."""
-    d = (w1 - w2) // 2
-    out = _Z(rows, w1 + w2)
+def _half_strip(t: int, m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
+    """M2-M4 block for pattern t: (m1+m2) x (n1+n2), every row with signed
+    sum (n1-n2)/2."""
+    d = (n1 - n2) // 2
+    out = _Z(m1 + m2, n1 + n2)
     if d > 0:
         out[:, :d] = 1
     elif d < 0:
-        out[:, w1 : w1 - d] = 1
+        out[:, n1 : n1 - d] = 1
     return out
-
-
-def _complete_m4(k, l, a, b, c, d, e, f, g, h) -> np.ndarray:
-    """The displayed witness layout for M1-M4 (absent indices zero)."""
-    x = _half_strip(k, g, h)
-    y = _half_strip(l, e, f)
-    band1 = np.hstack([_Z(k, a), _Z(k, b), _J(k, c), _J(k, d), _Z(k, e), _J(k, f), x])
-    band2 = np.hstack([_J(k, a), _J(k, b), _Z(k, c), _Z(k, d), _J(k, e), _Z(k, f), x])
-    band3 = np.hstack([_Z(l, a), _J(l, b), _Z(l, c), _J(l, d), y, _Z(l, g), _J(l, h)])
-    band4 = np.hstack([_J(l, a), _Z(l, b), _J(l, c), _Z(l, d), y, _J(l, g), _Z(l, h)])
-    return np.vstack([band1, band2, band3, band4])
-
-
-def _as_m4_indices(form: Rank2Form):
-    d = form.as_dict()
-    k, l = d["k"], d["l"]
-    if form.mtype == "M1":
-        return (k, l, d["a"], d["b"], d["b"], d["a"], 0, 0, 0, 0)
-    if form.mtype == "M2":
-        return (k, l, 0, 0, 0, 0, d["e"], d["f"], d["g"], d["h"])
-    if form.mtype == "M3":
-        return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], 0, 0)
-    return (k, l, d["a"], d["b"], d["c"], d["d"], d["e"], d["f"], d["g"], d["h"])
-
-
-def _even_profile(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
-    """(m1+m2) x (n1+n2) block with signed row sums (n1-n2)/2 and signed
-    column sums (m1-m2)/2, allowing zero sub-sizes (pair sums even)."""
-    if (m1 + m2) % 2 or (n1 + n2) % 2:
-        raise ValueError("pair sums must be even")
-    if m1 + m2 == 0 or n1 + n2 == 0:
-        return _Z(m1 + m2, n1 + n2)
-    if min(m1, m2, n1, n2) > 0:
-        return gale_ryser.even_block(m1, m2, n1, n2).data.copy()
-    if n1 == 0 or n2 == 0:
-        w = max(n1, n2)  # all rows have plain sum w/2
-        if m1 == 0 or m2 == 0:
-            m = max(m1, m2)
-            return gale_ryser.construct_urs([w // 2] * m, [m // 2] * w).data.copy()
-        top = gale_ryser.spread_construction([w // 2] * m1, w).data
-        bot = gale_ryser.spread_construction([w // 2] * m2, w).data
-        return np.vstack([top, bot])
-    # m1 == 0 or m2 == 0 with both column groups present: transpose view
-    return _even_profile(n1, n2, max(m1, m2), 0).T.copy()
 
 
 # the row and column index names that take the places of klpqrs and abcdef
@@ -414,28 +434,9 @@ def _m5_relabel(d: dict[str, int], root: str):
     return relabelled, *orders
 
 
-def _assemble_m5(d: dict[str, int], X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
-    a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
-    band_k = np.hstack([_Z(k, a), _J(k, b), _Z(k, c), _J(k, dd), X[:k]])
-    band_l = np.hstack([_J(l, a), _Z(l, b), _J(l, c), _Z(l, dd), X[k:]])
-    band_p = np.hstack([_Z(p, a), _J(p, b), Y[:p], _Z(p, e), _J(p, f)])
-    band_q = np.hstack([_J(q, a), _Z(q, b), Y[p:], _J(q, e), _Z(q, f)])
-    band_r = np.hstack([Z[:r], _Z(r, c), _J(r, dd), _J(r, e), _Z(r, f)])
-    band_s = np.hstack([Z[r:], _J(s, c), _Z(s, dd), _Z(s, e), _J(s, f)])
-    return np.vstack([band_k, band_l, band_p, band_q, band_r, band_s])
-
-
-def _complete_m5_even(d: dict[str, int]) -> np.ndarray:
-    X = _even_profile(d["k"], d["l"], d["e"], d["f"])
-    Y = _even_profile(d["p"], d["q"], d["c"], d["d"])
-    Z = _even_profile(d["r"], d["s"], d["a"], d["b"])
-    return _assemble_m5(d, X, Y, Z)
-
-
 def _complete_m5_odd_rooted(d: dict[str, int]):
-    """Diagonal construction at the X block, lemma-built Y and Z; None when
-    a positivity hypothesis of the lemma fails."""
+    """Blocks (X, Y, Z): the diagonal construction at X, Y and Z built by
+    the lemma; None when a positivity hypothesis of the lemma fails."""
     k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
     a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
     X = np.block([[_J(k, e), _Z(k, f)], [_Z(l, e), _J(l, f)]])
@@ -454,10 +455,10 @@ def _complete_m5_odd_rooted(d: dict[str, int]):
         else:
             if min(l, k, f, e, r, s, a, b) <= 0:
                 return None
-            Z = gale_ryser.proportional_block(l, k, f, e, r, s, a, b).data.copy()
+            Z = gale_ryser.proportional_block(l, k, f, e, r, s, a, b).data
     except ValueError:
         return None
-    return _assemble_m5(d, X, Y, Z)
+    return X, Y, Z
 
 
 def _row_candidates(n1: int, n2: int, target: int) -> list[np.ndarray]:
@@ -509,9 +510,10 @@ def _search_block(m1, m2, n1, n2, r1, r2, c1, c2):
     return None
 
 
-def _complete_m5_search(d: dict[str, int]):
+def _complete_m5_search(E: np.ndarray, signed: SignedMatrix, d: dict[str, int]):
     """Parameter-profile enumeration with per-block backtracking; covers the
-    degenerate odd cases that the structured constructions skip."""
+    degenerate odd cases that the structured constructions skip.  E is the
+    padded canonical matrix and signed the same as a SignedMatrix."""
     k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
     a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
 
@@ -536,7 +538,6 @@ def _complete_m5_search(d: dict[str, int]):
             return [None]
         return list(range(rng[0], rng[1] + 1))
 
-    E = canonical_rank2_E("M5", d)
     for v1 in span(c1r):
         v2_opts = span(c2r)
         if sum_rows and c1r is not None and c2r is not None:
@@ -566,73 +567,55 @@ def _complete_m5_search(d: dict[str, int]):
                     )
                     if Z is None:
                         continue
-                    cand = _assemble_m5(d, X, Y, Z)
-                    if is_realizable_witness(E, BinaryMatrix(cand)):
+                    cand = _fill(E, "M5", d, lambda t, *_: (X, Y, Z)[t])
+                    if is_realizable_witness(signed, BinaryMatrix(cand)):
                         return cand
     return None
 
 
-def _complete_m5(d: dict[str, int]) -> np.ndarray:
+def _complete_m5(E: np.ndarray, d: dict[str, int]) -> np.ndarray:
+    """Witness for the padded canonical M5 matrix E."""
     rows = (d["k"] + d["l"], d["p"] + d["q"], d["r"] + d["s"])
     cols = (d["a"] + d["b"], d["c"] + d["d"], d["e"] + d["f"])
     if all(t % 2 == 0 for t in rows + cols):
-        return _complete_m5_even(d)
+        return _fill(E, "M5", d, lambda t, *sizes: gale_ryser._even_layout(*sizes))
     # odd/proportional branch: put the smallest block in the X role
-    E = canonical_rank2_E("M5", d)
+    signed = SignedMatrix(E)
     sizes = {"X": rows[0], "Y": rows[1], "Z": rows[2]}
     for root in sorted(sizes, key=lambda nm: (sizes[nm], nm)):
         dr, row_order, col_order = _m5_relabel(d, root)
-        cand = _complete_m5_odd_rooted(dr)
-        if cand is not None:
-            out = np.zeros_like(cand)
-            out[np.ix_(row_order, col_order)] = cand
-            if is_realizable_witness(E, BinaryMatrix(out)):
+        blocks = _complete_m5_odd_rooted(dr)
+        if blocks is not None:
+            # the relabelled canonical matrix is E read in the new order
+            at = np.ix_(row_order, col_order)
+            out = np.zeros_like(E)
+            out[at] = _fill(E[at], "M5", dr, lambda t, *_: blocks[t])
+            if is_realizable_witness(signed, BinaryMatrix(out)):
                 return out
-    cand = _complete_m5_search(d)
-    if cand is None:
+    out = _complete_m5_search(E, signed, d)
+    if out is None:
         raise RuntimeError("witness construction failed for a realizable M5 form")
-    return cand
+    return out
 
 
 def rank2_complete(form: Rank2Form) -> BinaryMatrix:
     """A witness A (original coordinates) such that (A, A+E) is a Gram pair."""
     if not rank2_realizable(form):
         raise NotRealizableError(f"form {form.mtype} {form.as_dict()} is not realizable")
-    d = form.as_dict()
-    core = _complete_m5(d) if form.mtype == "M5" else _complete_m4(*_as_m4_indices(form))
-    full = np.zeros((form.row_perm.size, form.col_perm.size), dtype=np.int8)
-    full[: core.shape[0], : core.shape[1]] = core
-    A, E = _to_original(form, BinaryMatrix(full), _padded_canonical_E(form))
+    mtype, d, E = _canonical_of(form)
+    A = _complete_m5(E, d) if mtype == "M5" else _fill(E, mtype, d, _half_strip)
+    A, E = _to_original(form, A, E)
+    A, E = BinaryMatrix(A), SignedMatrix(E)
     # never emit an unverified witness, also under python -O
     if not is_realizable_witness(E, A):
-        raise RuntimeError(f"completion of {form.mtype} {d} failed Gram verification")
+        raise RuntimeError(f"completion of {mtype} {d} failed Gram verification")
     return A
 
 
 def reconstruct_E(form: Rank2Form) -> SignedMatrix:
     """The original difference matrix described by the form."""
-    (E,) = _to_original(form, _padded_canonical_E(form))
-    return E
-
-
-def _padded_canonical_E(form: Rank2Form) -> SignedMatrix:
-    """canonical_rank2_E of the form, padded with zeros to the form's size."""
-    d = form.as_dict()
-    pad_r = form.row_perm.size - sum(_row_group_sizes(form.mtype, d))
-    pad_c = form.col_perm.size - sum(d[n] for n in _M_LAYOUT[form.mtype][0])
-    return canonical_rank2_E(form.mtype, d, pad_r, pad_c)
-
-
-def _to_original(form: Rank2Form, *mats):
-    """Matrices in the form's canonical coordinates, mapped back to E's.
-
-    With P, Q the form's row and column permutations, original entry (i, j)
-    is canonical entry (P(i), Q(j)) (of the transpose when form.transposed),
-    so mapping back gathers by the images and inverts neither permutation.
-    """
-    rows, cols = np.ix_(form.row_perm.image, form.col_perm.image)
-    out = [type(M)(M.data[rows, cols]) for M in mats]
-    return [M.transpose() for M in out] if form.transposed else out
+    (E,) = _to_original(form, _canonical_of(form)[2])
+    return SignedMatrix(E)
 
 
 # ---------------------------------------------------------------------------
@@ -665,30 +648,29 @@ def rank2_gram_data(form: Rank2Form) -> GramSingularReport:
     pair is convertible (gram.convertibility); the form alone does not decide
     whether a given witness is.  The rank2_complete witness is convertible
     for M1-M4 but not always for M5: of the 2,145 M5 forms with indices at
-    most 3, 296 complete to a pair that is not convertible.  The vectors
-    satisfy (-E/2) v = sigma u.
+    most 3, 296 complete to a pair that is not convertible.  (Counted over
+    the canonical E of every zero-sum M5 index tuple in 0..3 that
+    classifies as a realizable M5 form, with gram.convertibility on
+    (A, A+E).)  The vectors satisfy (-E/2) v = sigma u.
     """
     d = form.as_dict()
-    if form.mtype == "M5":
-        k, l, p, q, r, s = (Fraction(d[n]) for n in ("k", "l", "p", "q", "r", "s"))
-        ia, ib, ic, id_, ie, if_ = (Fraction(d[n]) for n in ("a", "b", "c", "d", "e", "f"))
-        m11 = l * (ia + ic) + s * (ic + id_) / 2 + (k - l) * (ia + ib) / 4
-        m12 = l * (ia + ib) / 2 - s * (ie + if_) / 2 + (k - l) * (ia + ie) / 2
-        m21 = q * (ia + ib) / 2 - r * (ic + id_) / 2 + (p - q) * (ia + ic) / 2
-        m22 = q * (ia + ie) + r * (ie + if_) / 2 + (p - q) * (ia + ib) / 4
-    else:
-        k, l, ia, ib, ic, id_, ie, if_, ig, ih = (Fraction(t) for t in _as_m4_indices(form))
-        m11 = k * (ia + ib + ie)
-        m12 = k * (ia - ib - ic + id_) / 2
-        m21 = l * (ia - ib - ic + id_) / 2
-        m22 = l * (ia + ic + ig)
+    rows, cols, pats = _LAYOUT[form.mtype]
+    # the first two basis patterns over the columns; M5's third is x1 - x2
+    x1, x2 = (_spread(pat, cols, d) for pat in pats[:2])
+    gram = [[int(y @ z) for z in (x1, x2)] for y in (x1, x2)]
+    # (E/2)^T (E/2) is the sum over the basis patterns p of n p p^T / 4, n
+    # the number of rows carrying p or -p; on span(x1, x2) it acts as m
+    m = [[Fraction(0)] * 2 for _ in range(2)]
+    for t, coef in zip(range(len(pats)), ((1, 0), (0, 1), (1, -1))):
+        n = d[rows[2 * t]] + d[rows[2 * t + 1]]
+        for j in range(2):
+            dot = coef[0] * gram[0][j] + coef[1] * gram[1][j]  # p . x_j
+            for i in range(2):
+                m[i][j] += Fraction(n * coef[i] * dot, 4)
 
-    lams, zetas, disc = _eig2(m11, m12, m21, m22)
+    lams, zetas, disc = _eig2(*m[0], *m[1])
     if any(lam <= 0 for lam in lams):
         raise RuntimeError("closed-form eigenvalues must be positive for rank 2")
-    # the first two basis patterns of the layout, over the column groups
-    col_names, pats = _M_LAYOUT[form.mtype]
-    x1, x2 = (np.repeat(np.array(pat, dtype=np.float64), [d[n] for n in col_names]) for pat in pats[:2])
     if disc == 0.0:
         # repeated value: orthonormalize within the span
         v1 = x1 / np.linalg.norm(x1)
@@ -701,27 +683,14 @@ def rank2_gram_data(form: Rank2Form) -> GramSingularReport:
             v = z[0] * x1 + z[1] * x2
             rights.append(v / np.linalg.norm(v))
 
-    pad_c = form.col_perm.size - len(x1)
-    pad_r = form.row_perm.size - sum(_row_group_sizes(form.mtype, d))
-    e_can = canonical_rank2_E(form.mtype, d).int64().astype(np.float64)
+    e_can = _core(form.mtype, d).astype(np.float64)
     values, rv, lv = [], [], []
     for lam, v in zip(lams, rights):
         sigma = math.sqrt(lam)
         nz = np.nonzero(np.abs(v) > 1e-8)[0]
         if len(nz) and v[nz[0]] < 0:
             v = -v
-        u = (-0.5 * e_can) @ v / sigma
         values.append(sigma)
-        # back to the original coordinates
-        rv.append(np.concatenate([v, np.zeros(pad_c)])[list(form.col_perm.image)])
-        lv.append(np.concatenate([u, np.zeros(pad_r)])[list(form.row_perm.image)])
-    right = np.column_stack(rv)
-    left = np.column_stack(lv)
-    if form.transposed:
-        right, left = left, right
-    return GramSingularReport(
-        values=tuple(values),
-        right_vectors=right,
-        left_vectors=left,
-        source="closed_form_rank2",
-    )
+        rv.append(v)
+        lv.append((-0.5 * e_can) @ v / sigma)
+    return _report(form, values, rv, lv, "closed_form_rank2")

@@ -204,6 +204,8 @@ def test_09_m5_realizability_agrees_with_completion():
             A = rank2_complete(form)
             B = BinaryMatrix((A.int64() + E.int64()).astype(np.int8))
             assert is_gram_pair(A, B) is not None
+            # the witness is [E = -1] outside the zero cells of E
+            assert ((A.data == (E.data == -1)) | (E.data == 0)).all()
         elif int((E.int64() == 0).sum()) <= 12:
             assert not _witness_exists(E)
             refuted += 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from grammate.gale_ryser import (
     InfeasibleError,
+    _even_layout,
     check_signed_profile,
     conjugate,
     construct_urs,
@@ -166,6 +167,17 @@ class TestEvenBlock:
             assert check_signed_profile(
                 x, m1, m2, n1, n2, (n1 - n2) // 2, (n1 - n2) // 2, (m1 - m2) // 2, (m1 - m2) // 2
             ), (m1, m2, n1, n2)
+        # the layout itself also takes zero sizes, as the M5 completion needs
+        profiles = 0
+        for m1, m2, n1, n2 in itertools.product(range(6), repeat=4):
+            if (m1 + m2) % 2 or (n1 + n2) % 2 or m1 + m2 == 0 or n1 + n2 == 0:
+                continue
+            x = _even_layout(m1, m2, n1, n2)
+            assert check_signed_profile(
+                x, m1, m2, n1, n2, (n1 - n2) // 2, (n1 - n2) // 2, (m1 - m2) // 2, (m1 - m2) // 2
+            ), (m1, m2, n1, n2)
+            profiles += 1
+        assert profiles == 289
 
 
 class TestProportionalBlock:

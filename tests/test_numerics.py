@@ -152,6 +152,19 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="integers"):
             reconstruct_from_grams(g_row, g_col)
 
+    @pytest.mark.parametrize("g_row, g_col", [
+        ([1], [[1]]),
+        ([[1]], [1]),
+        (5, [[1]]),
+        ([[1]], 5),
+        ([[[1]]], [[1]]),
+        ([[1, 0]], [[1]]),
+    ], ids=["1-D-row", "1-D-col", "scalar-row", "scalar-col", "3-D-row", "non-square-row"])
+    def test_non_square_grams_rejected(self, g_row, g_col):
+        # read unchecked, shape[1] fails on [1] and 5, and [[[1]]] passes as [[1]]
+        with pytest.raises(ValueError, match="2-D and square"):
+            reconstruct_from_grams(g_row, g_col)
+
     def test_integral_floats_accepted(self):
         g = np.array([[2.0, 1.0], [1.0, 1.0]])
         assert reconstruct_from_grams(g, g) == reconstruct_from_grams(g.astype(int), g.astype(int))

@@ -123,6 +123,16 @@ class TestRank1Complete:
         b = A.int64() + e
         assert is_gram_pair(A, BinaryMatrix(b.astype(np.int8))) is not None
 
+    def test_witness_is_minus_cells_of_E(self):
+        rng = np.random.default_rng(11)
+        for k1, k2, pad_r, pad_c in itertools.product(range(1, 4), range(1, 4), range(3), range(3)):
+            e = canonical_rank1_E(k1, k2, pad_r, pad_c).data
+            E = SignedMatrix(e[rng.permutation(e.shape[0])][:, rng.permutation(e.shape[1])])
+            A = rank1_complete(classify_rank1(E))
+            assert ((A.data == (E.data == -1)) | (E.data == 0)).all()
+            assert not A.data[E.data == 0].any()  # zero borders
+            assert is_realizable_witness(E, A)
+
     def test_unpermutes(self, rank1_example):
         _, _, E = rank1_example
         f = classify_rank1(E)
@@ -352,7 +362,10 @@ class TestRank2Complete:
         ]
         for f in forms:
             A = rank2_complete(f)  # verified internally against is_gram_pair
-            assert is_realizable_witness(reconstruct_E(f), A)
+            E = reconstruct_E(f)
+            assert is_realizable_witness(E, A)
+            # A + E in {0,1} fixes A off the zero cells of E
+            assert ((A.data == (E.data == -1)) | (E.data == 0)).all()
 
     def test_m5_odd_needs_larger_partner_blocks(self):
         # smallest block in the X role, partners built by the proportional lemma
