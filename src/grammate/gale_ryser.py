@@ -1,13 +1,17 @@
 """
 Degree-sequence machinery for (0,1) matrices: conjugate vectors, majorization,
 the Gale-Ryser existence test, a deterministic Ryser-style construction for
-U(R,S), and the block constructions used to synthesize rank-2 witnesses.
+U(R,S), the exact search for every matrix with two given Gram matrices, and
+the block constructions used to synthesize rank-2 witnesses.
 
 U(R,S) is the class of (0,1) matrices with row sum vector R and column sum
-vector S.
+vector S; the diagonals of BB^T and B^TB are B's row and column sums.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -81,6 +85,106 @@ def construct_urs(R, S) -> BinaryMatrix:
     if any(residual):
         raise RuntimeError("Ryser fill left row sums unmet")
     return BinaryMatrix(out)
+
+
+DEFAULT_MATE_NODE_CAP = 10**7
+_BLOCK = 1 << 16  # entries of a chunk's (F, K, n) temporaries
+
+
+class OracleCapError(RuntimeError):
+    """Search space exceeds the configured cap."""
+
+
+def _rows_with_sum(n: int, s: int) -> np.ndarray:
+    """The (0,1) rows of length n with s ones, as the columns of a float32
+    (n, K) array."""
+    ones = list(itertools.combinations(range(n), s))
+    rows = np.zeros((n, len(ones)), dtype=np.float32)
+    rows[np.array(ones, dtype=np.intp).ravel(), np.repeat(np.arange(len(ones)), s)] = 1
+    return rows
+
+
+def _unflagged(flags: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(F, K) mask of x_k^T flags_f x_k == 0 for (0,1) flags (F, n, n) and
+    (0,1) columns x_k of x (n, K).  Exact in float32: a float sum of
+    non-negative integers is zero exactly when every term is."""
+    n, k = x.shape
+    w = (flags.reshape(-1, n) @ x).reshape(len(flags), n, k)
+    return np.einsum("fjk,jk->fk", w, x) == 0
+
+
+def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
+    """Every (0,1) matrix B with BB^T = G_row and B^TB = G_col, ascending by
+    flattened entries, by a row-by-row frontier search.
+
+    Row i is drawn from the K rows with sum G_row[i, i], and a chunk of F
+    partial matrices P is expanded by all of them in one numpy step.  A
+    candidate c is kept when its products with the rows above match G_row
+    and the column residual R = G_col - P^TP stays within reach of the rows
+    left: R >= 0 and R_jj + R_kk - R_jk <= rows left, where the left side
+    counts the rows to come that hold j or k (at j = k, the column-sum
+    bounds).  R is recomputed per chunk, never stored with the frontier,
+    and c is tested against it by two quadratic forms: c covers j or k on
+    every pair whose count equals the rows left, and holds no pair with
+    R_jk = 0.  Leaves are kept when both Gram identities hold exactly.
+    Chunks go depth first, and F * max(K, n) * n is at most _BLOCK (or
+    F = 1), which bounds the temporaries however wide a level grows.
+
+    One node is one candidate row tried for one partial matrix, so a chunk
+    at level i costs F * C(n, G_row[i, i]) nodes, as one-by-one
+    backtracking would.  Each chunk is charged before it is built, and
+    OracleCapError is raised exactly when the total exceeds node_cap.
+    Grams that no matrix has at the root cost no node: a row sum below 0
+    or above n, unequal traces, or a G_col outside the residual bounds.
+    """
+    gr, gc = np.asarray(G_row, dtype=np.int64), np.asarray(G_col, dtype=np.int64)
+    m, n = len(gr), len(gc)
+    rs, cs = np.diagonal(gr), np.diagonal(gc)
+    if ((rs < 0) | (rs > n)).any() or rs.sum() != cs.sum() \
+            or (gc < 0).any() or (cs[:, None] + cs - gc > m).any():
+        return []
+    rs = rs.tolist()
+    by_sum: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    found: list[BinaryMatrix] = []
+    budget = node_cap
+
+    def expand(i: int, front: np.ndarray):
+        # front: (F, m, n) partial matrices with rows i.. zero
+        nonlocal budget
+        if i == m:
+            b = front.astype(np.int64)
+            bt = b.transpose(0, 2, 1)
+            ok = (b @ bt == gr).all(axis=(1, 2)) & (bt @ b == gc).all(axis=(1, 2))
+            found.extend(BinaryMatrix(x) for x in front[ok])
+            return
+        s, k = rs[i], math.comb(n, rs[i])
+        step = max(1, _BLOCK // (max(k, n) * n))
+        for lo in range(0, len(front), step):
+            f = front[lo:lo + step]
+            budget -= len(f) * k
+            if budget < 0:
+                raise OracleCapError("Gram search exceeded the node cap")
+            if s not in by_sum:
+                rows = _rows_with_sum(n, s)
+                by_sum[s] = rows, 1 - rows
+            cands, gaps = by_sum[s]
+            placed = f[:, :i].reshape(-1, n)
+            wide = placed.astype(np.int64).reshape(len(f), i, n)
+            r = gc - wide.transpose(0, 2, 1) @ wide
+            d = np.diagonal(r, axis1=1, axis2=2)
+            ok = _unflagged(d[:, :, None] + d[:, None, :] - r == m - i, gaps)
+            ok &= _unflagged(r == 0, cands)
+            # products of 0/1 rows are integers of at most n, exact in float32
+            prod = (placed @ cands).reshape(len(f), i, k)
+            ok &= (prod == gr[i, :i, None]).all(axis=1)
+            fi, ki = np.nonzero(ok)
+            child = f[fi]
+            child[:, i] = cands.T[ki]
+            expand(i + 1, child)
+
+    expand(0, np.zeros((1, m, n), dtype=np.int8))
+    found.sort(key=lambda M: tuple(M.data.flatten().tolist()))
+    return found
 
 
 def spread_construction(R, n: int) -> BinaryMatrix:

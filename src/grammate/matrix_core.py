@@ -139,6 +139,14 @@ class SignedMatrix(_DenseMatrix):
         return SignedMatrix(np.zeros((rows, cols), dtype=np.int8))
 
 
+def _inverse_image(image) -> list[int]:
+    """The image of the inverse of the permutation i -> image[i]."""
+    inv = [0] * len(image)
+    for i, j in enumerate(image):
+        inv[j] = i
+    return inv
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection i -> image[i] on {0..size-1}."""
@@ -160,10 +168,7 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(_inverse_image(self.image)))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self*other)(i) = self(other(i))."""
@@ -244,13 +249,12 @@ def rank_exact(E) -> int:
 def apply_perms(M, P: Permutation, Q: Permutation):
     """Return PMQ'-style relabeling: entry (i,j) of result = M[P^-1(i), Q^-1(j)].
 
-    Row i of M lands at row P(i); column j lands at column Q(j).
+    Row i of M lands at row P(i); column j lands at column Q(j).  The
+    result gathers M by the inverse images.
     """
     if P.size != M.rows or Q.size != M.cols:
         raise ValueError("permutation size mismatch")
-    out = np.empty_like(M.data)
-    out[np.ix_(P.image, Q.image)] = M.data
-    return type(M)(out)
+    return type(M)(M.data.take(_inverse_image(P.image), 0).take(_inverse_image(Q.image), 1))
 
 
 def _parse_entries(text: str) -> np.ndarray:

@@ -79,6 +79,28 @@ _GROUP_ROWS = {
 _COL_SIGS = {m: tuple(zip(*pats)) for m, (_, _, pats) in _LAYOUT.items()}
 
 
+def _zero_sum_relations(rows, cols, pats) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """The zero row and column sums of a canonical E as (name, coefficient)
+    relations on its indices, less those that always hold and repeats up to
+    sign: row group 2t sums pattern t over the column groups, and column
+    group g sums entry g over each pattern's row group less its negation's."""
+    sums = [list(zip(cols, pat)) for pat in pats]
+    sums += [[(rows[2 * t + h], pat[g] * (1 - 2 * h)) for t, pat in enumerate(pats) for h in (0, 1)]
+             for g in range(len(cols))]
+    out = {}
+    for terms in sums:
+        coeff: dict[str, int] = {}
+        for name, x in terms:
+            coeff[name] = coeff.get(name, 0) + x
+        rel = tuple((name, x) for name, x in coeff.items() if x)
+        if rel and tuple((name, -x) for name, x in rel) not in out:
+            out[rel] = None
+    return tuple(out)
+
+
+_ZERO_SUMS = {m: _zero_sum_relations(*_LAYOUT[m]) for m in M_INDEX_NAMES}
+
+
 def _core(mtype: str, idx: dict[str, int]) -> np.ndarray:
     """The canonical E of a form without its zero rows and columns, int8."""
     rows, cols, _ = _LAYOUT[mtype]
@@ -332,6 +354,9 @@ class Rank2Form:
             raise ValueError(f"unknown form tag {self.mtype}")
         if tuple(n for n, _ in self.indices) != M_INDEX_NAMES[self.mtype]:
             raise ValueError("index names do not match the form tag")
+        idx = dict(self.indices)
+        if any(sum(x * idx[name] for name, x in rel) for rel in _ZERO_SUMS[self.mtype]):
+            raise ValueError(f"{self.mtype} indices break the zero row and column sums of E")
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.indices)

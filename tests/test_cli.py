@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grammate import gale_ryser
 from grammate.cli import build_parser, run
 from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix
 from grammate.rank_forms import canonical_rank2_E, classify_rank2, rank2_complete, rank2_realizable
@@ -374,6 +375,12 @@ class TestMatesOf:
         save_matrix(BinaryMatrix.ones(3, 3), p)
         assert cli(capsys, "mates-of", str(p)) == (3, "mates: 0\n")
 
+    def test_same_entries_example(self, capsys, b10):
+        # the column-sum bounds alone passed the 10^7-node cap here
+        code, out = cli(capsys, "mates-of", A10)
+        assert code == 0 and out.startswith("mates: 7\n")
+        assert Path(b10).read_text() in out  # A + E
+
 
 class TestReconstruct:
     @staticmethod
@@ -398,14 +405,40 @@ class TestReconstruct:
         gc = self._gram(tmp_path, "gc.mtxt", 2 * (a.T @ a))
         assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (3, "none\n")
 
-    @pytest.mark.parametrize("tol", [None, "-1", "0", "nan", "2"])
-    def test_identity_gram_is_usage_error_at_any_tol(self, capsys, tmp_path, tol):
-        # I2 is itself a solution, so "none" would be a wrong no; its
-        # repeated eigenvalue is unsupported, and --tol is no longer an option
+    def test_identity_gram_gives_both_matrices(self, capsys, tmp_path):
+        # the eigenvalue 1 is repeated, and I2 and P2 are both answers
         g = self._gram(tmp_path, "g.mtxt", np.eye(2, dtype=int))
-        extra = [] if tol is None else ["--tol", tol]
-        assert run(["reconstruct", "--grow", g, "--gcol", g, *extra]) == 2
+        assert cli(capsys, "reconstruct", "--grow", g, "--gcol", g) == (
+            0, "2 2\n0 1\n1 0\n\n2 2\n1 0\n0 1\n")
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "2"])
+    def test_identity_gram_is_usage_error_at_any_tol(self, capsys, tmp_path, tol):
+        # --tol is no longer an option
+        g = self._gram(tmp_path, "g.mtxt", np.eye(2, dtype=int))
+        assert run(["reconstruct", "--grow", g, "--gcol", g, "--tol", tol]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("g_row, g_col", [
+        ([[3]], [[1, 0], [0, 1]]),
+        ([[-1]], [[-1]]),
+    ], ids=["row-sum-above-n", "negative-diagonal"])
+    def test_grams_no_matrix_has(self, capsys, tmp_path, g_row, g_col):
+        gr = self._gram(tmp_path, "gr.mtxt", np.array(g_row))
+        gc = self._gram(tmp_path, "gc.mtxt", np.array(g_col))
+        assert run(["reconstruct", "--grow", gr, "--gcol", gc]) == 3
+        assert capsys.readouterr() == ("none\n", "")
+
+    def test_cap_is_undecided(self, capsys, tmp_path, monkeypatch):
+        # the 7x7 example's Grams cost 1,477 nodes; the cap is read per call
+        monkeypatch.setattr(gale_ryser, "DEFAULT_MATE_NODE_CAP", 1476)
+        a = load_matrix(A7).int64()
+        gr = self._gram(tmp_path, "gr.mtxt", a @ a.T)
+        gc = self._gram(tmp_path, "gc.mtxt", a.T @ a)
+        assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (
+            4, "Gram search exceeded the node cap\n")
+        monkeypatch.setattr(gale_ryser, "DEFAULT_MATE_NODE_CAP", 1477)
+        code, out = cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc)
+        assert code == 0 and out.count("7 7\n") == 2
 
     @pytest.mark.parametrize("text", ["3 3\n2 1 0\n1 2.5 1\n0 1 1\n",
                                       "3 three\n2 1 0\n1 2 1\n0 1 1\n",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,7 @@ from hypothesis import strategies as st
 
 from grammate import numerics
 from grammate.matrix_core import BinaryMatrix
-from grammate.numerics import (
-    DegenerateSpectrumError,
-    SpectraMismatchError,
-    distinct_singular_values,
-    reconstruct_from_grams,
-    round_to_binary,
-    svd,
-)
+from grammate.numerics import distinct_singular_values, reconstruct_from_grams, svd
 
 
 def binary_arrays(max_dim=5):
@@ -90,18 +85,6 @@ class TestSvd:
         assert np.allclose(compose(b), a, atol=1e-12)
 
 
-class TestRoundToBinary:
-    def test_near_binary(self):
-        m = round_to_binary(np.array([[1.0 - 1e-12, 1e-12]]))
-        assert m == BinaryMatrix(np.array([[1, 0]]))
-
-    def test_rejects_half(self):
-        assert round_to_binary(np.array([[0.5]])) is None
-
-    def test_rejects_two(self):
-        assert round_to_binary(np.array([[2.0]])) is None
-
-
 class TestDistinctSingularValues:
     def test_identity_not_distinct(self):
         assert not distinct_singular_values(BinaryMatrix.identity(2))
@@ -126,13 +109,40 @@ class TestReconstruct:
         assert A in out and B in out
 
     def test_spectra_mismatch(self):
-        with pytest.raises(SpectraMismatchError):
-            reconstruct_from_grams(2 * np.eye(2, dtype=int), 3 * np.eye(2, dtype=int))
+        assert reconstruct_from_grams(2 * np.eye(2, dtype=int), 3 * np.eye(2, dtype=int)) == []
 
-    def test_degenerate_rejected(self):
+    def test_repeated_eigenvalue(self):
+        # I2's Grams have the eigenvalue 1 twice; I2 and P2 both have them
         g = np.eye(2, dtype=int)
-        with pytest.raises(DegenerateSpectrumError):
-            reconstruct_from_grams(g, g)
+        assert reconstruct_from_grams(g, g) == [
+            BinaryMatrix(np.array([[0, 1], [1, 0]])), BinaryMatrix.identity(2)]
+
+    @pytest.mark.parametrize("g_row, g_col", [
+        ([[3]], np.eye(2, dtype=int)),
+        ([[-1]], [[-1]]),
+        ([[2]], [[2, 0], [0, 0]]),
+        ([[1, 0], [0, 2]], [[2, 0], [0, 2]]),
+        ([[2, 1], [1, 1]], [[2, -1], [-1, 1]]),
+        ([[2]], [[1, 0], [0, 1]]),
+    ], ids=["row-sum-above-n", "negative-diagonal", "column-sum-above-m", "traces-differ",
+            "negative-entry", "pair-beyond-rows"])
+    def test_grams_no_matrix_has(self, g_row, g_col):
+        assert reconstruct_from_grams(g_row, g_col) == []
+
+    def test_every_3x3_gram_group(self):
+        # degenerate spectra included: the answer is the whole Gram group
+        mats = [np.array(bits, dtype=np.int64).reshape(3, 3)
+                for bits in itertools.product((0, 1), repeat=9)]
+
+        def key(a):
+            return (a @ a.T).tobytes() + (a.T @ a).tobytes()
+
+        groups = {}
+        for a in mats:
+            groups.setdefault(key(a), []).append(tuple(a.ravel().tolist()))
+        for a in mats:
+            got = [tuple(M.int64().ravel().tolist()) for M in reconstruct_from_grams(a @ a.T, a.T @ a)]
+            assert got == groups[key(a)]
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):

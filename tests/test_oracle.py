@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grammate import oracle
+from grammate import gale_ryser, oracle
 from grammate.gram import is_gram_pair
 from grammate.matrix_core import BinaryMatrix
 from grammate.oracle import (
@@ -48,18 +48,22 @@ def _code(M):
 
 
 def _reference_nodes(a):
-    """Candidate rows tried by a plain row-by-row backtracking with the mate
-    search's prunings: column sums within reach, row products equal to AA^T."""
+    """Candidate rows tried by a plain row-by-row backtracking with the Gram
+    search's prunings: row products equal to AA^T, and a column residual
+    R = A^TA - B^TB, over the rows placed, with R >= 0 and
+    R_jj + R_kk - R_jk at most the rows left, for all j, k."""
     a = a.tolist()
     m, n = len(a), len(a[0])
-    cs = [sum(col) for col in zip(*a)]
     rows = list(itertools.product((0, 1), repeat=n))
     count = 0
 
     def dot(x, y):
         return sum(p * q for p, q in zip(x, y))
 
-    def rec(b, col):
+    cols = list(zip(*a))
+    gram_col = [[dot(x, y) for y in cols] for x in cols]
+
+    def rec(b, res):
         nonlocal count
         i = len(b)
         if i == m:
@@ -68,13 +72,14 @@ def _reference_nodes(a):
             if sum(r) != sum(a[i]):
                 continue
             count += 1
-            nxt = [c + x for c, x in zip(col, r)]
-            if any(x > c or x + m - i - 1 < c for x, c in zip(nxt, cs)):
+            nxt = [[res[j][k] - r[j] * r[k] for k in range(n)] for j in range(n)]
+            if any(nxt[j][k] < 0 or nxt[j][j] + nxt[k][k] - nxt[j][k] > m - i - 1
+                   for j in range(n) for k in range(n)):
                 continue
             if all(dot(r, b[j]) == dot(a[i], a[j]) for j in range(i)):
                 rec(b + [r], nxt)
 
-    rec([], [0] * n)
+    rec([], gram_col)
     return count
 
 
@@ -163,11 +168,27 @@ class TestEnumerateMatesOf:
             enumerate_mates_of(BinaryMatrix(np.eye(4, dtype=np.int8)), node_cap=2)
 
     def test_node_count_of_the_paper_example(self, rank1_example):
-        # 48,510 candidate rows are tried; the cap is met exactly there
+        # 1,477 candidate rows are tried (48,510 under the column-sum bounds
+        # alone); the cap is met exactly there
         A, B, _ = rank1_example
-        assert enumerate_mates_of(A, node_cap=48510) == [B]
+        assert enumerate_mates_of(A, node_cap=1477) == [B]
         with pytest.raises(OracleCapError):
-            enumerate_mates_of(A, node_cap=48509)
+            enumerate_mates_of(A, node_cap=1476)
+
+    def test_same_entries_example_decides(self, same_entries_example):
+        # 35,008 nodes; the column-sum bounds alone passed the 10^7 cap
+        A, E = same_entries_example
+        mates = enumerate_mates_of(A, node_cap=35008)
+        assert len(mates) == 7
+        assert BinaryMatrix((A.int64() + E.int64()).astype(np.int8)) in mates
+        for B in mates:
+            assert is_gram_pair(A, B) is not None
+        with pytest.raises(OracleCapError):
+            enumerate_mates_of(A, node_cap=35007)
+
+    def test_cap_names_are_shared_with_the_search(self):
+        assert OracleCapError is gale_ryser.OracleCapError
+        assert oracle.DEFAULT_MATE_NODE_CAP == gale_ryser.DEFAULT_MATE_NODE_CAP
 
     @pytest.mark.parametrize("m,n,sample", [
         (2, 2, None), (2, 3, None), (3, 2, None), (3, 3, None), (2, 4, None), (4, 2, None),
@@ -199,14 +220,14 @@ class TestEnumerateMatesOf:
     def test_one_partial_matrix_per_chunk(self, monkeypatch):
         # a chunk bound below one level's candidates expands every partial
         # matrix on its own, so every frontier with two or more spans chunks
-        monkeypatch.setattr(oracle, "_BLOCK", 1)
+        monkeypatch.setattr(gale_ryser, "_BLOCK", 1)
         self.test_mates_are_the_gram_group(3, 3, None)
         self.test_mates_are_the_gram_group(4, 4, 40)
 
     def test_wide_frontier_stays_small(self):
         # the mates of I7 are the other 5,039 permutation matrices; the last
         # level tries 7 rows on each of 5,040 partial matrices, several chunks
-        assert 5040 * 7 * 7 > 2 * oracle._BLOCK
+        assert 5040 * 7 * 7 > 2 * gale_ryser._BLOCK
         perms = sorted(tuple(np.eye(7, dtype=int)[list(p)].ravel().tolist())
                        for p in itertools.permutations(range(7)) if p != tuple(range(7)))
         tracemalloc.start()
@@ -216,6 +237,19 @@ class TestEnumerateMatesOf:
         finally:
             tracemalloc.stop()
         assert [tuple(M.int64().ravel().tolist()) for M in mates] == perms
+        assert peak < 32 << 20
+
+    def test_wide_rows_stay_small(self):
+        # its rows hold 5 to 11 ones of 16, thousands of candidates each, so
+        # every chunk holds one partial matrix and the cap ends the search
+        a = np.random.default_rng(0).integers(0, 2, size=(8, 16)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleCapError):
+                enumerate_mates_of(BinaryMatrix(a), node_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 32 << 20
 
 

@@ -239,6 +239,18 @@ class TestClassifyRank2:
                 transposed=False,
             )
 
+    def test_zero_sum_relations_validated(self):
+        # M2's zero row sums need e = f and g = h
+        idx = dict(k=1, l=1, e=1, f=2, g=1, h=1)
+        with pytest.raises(ValueError, match="zero row and column sums"):
+            Rank2Form(
+                mtype="M2",
+                indices=tuple(idx.items()),
+                row_perm=Permutation.identity(4),
+                col_perm=Permutation.identity(5),
+                transposed=False,
+            )
+
 
 # every rank-2 difference of a Gram pair at these shapes: 3,528 pairs
 GRAM_PAIR_SHAPES = ((3, 3), (3, 4), (4, 3), (4, 4), (2, 5), (3, 5), (5, 3))
