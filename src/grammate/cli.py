@@ -77,6 +77,16 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema": 1, **payload}))
 
 
+def _cap(text: str) -> int:
+    """The argparse type of every --cap: a node count, an integer of at least 0."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(p) for p in text.replace(",", " ").split()]
@@ -415,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("isomorphic", cmd_isomorphic,
             help="search for P, Q with B = PAQ")
     p.add_argument("A"); p.add_argument("B")
-    p.add_argument("--cap", type=int, default=iso.DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=_cap, default=iso.DEFAULT_NODE_CAP)
     p.add_argument("--distinct-sv", action="store_true")
 
     p = add("fixable", cmd_fixable,
             help="fixability of a rank-1 Gram pair")
     p.add_argument("A"); p.add_argument("B")
-    p.add_argument("--cap", type=int, default=iso.DEFAULT_NODE_CAP)
+    p.add_argument("--cap", type=_cap, default=iso.DEFAULT_NODE_CAP)
 
     p = add("enumerate", cmd_enumerate, help="all Gram pairs of a given shape")
     p.add_argument("M", type=int); p.add_argument("N", type=int)
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mates-of", cmd_mates_of, help="every mate of a given matrix")
     p.add_argument("A")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_MATE_NODE_CAP)
+    p.add_argument("--cap", type=_cap, default=oracle.DEFAULT_MATE_NODE_CAP)
 
     p = add("reconstruct", cmd_reconstruct,
             help="all (0,1) matrices with the given Gram matrices")

@@ -4,9 +4,9 @@ The Gram-mate relation and its convertibility theory.
 A Gram pair is a pair of distinct (0,1) matrices A, B with AA^T = BB^T and
 A^T A = B^T B, verified in exact integer arithmetic.  Convertibility (B
 arises from A by flipping signs of positive singular values) is decided by
-seven equivalent conditions; the four algebraic ones run in integers and are
-authoritative, the three singular-vector ones run in floating point as
-cross-checks.
+seven equivalent conditions, all decided exactly in integers; the three
+singular-vector ones are read through exact bases of the difference's row
+and column spaces, so no condition reads a tolerance.
 """
 
 from __future__ import annotations
@@ -117,69 +117,52 @@ def embed_check(E_tilde: SignedMatrix, X1, X2) -> bool:
     return not (e @ x2.T).any() and not (e.T @ x1).any()
 
 
-def _span_residual(B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Residual of each column of X after projection onto the row space of
-    B, whose rows are independent."""
-    b = B.astype(np.float64)
-    return X - b.T @ np.linalg.solve(b @ b.T, b @ X)
+def convertibility(pair: GramPair, tol: None = None) -> ConvertibilityReport:
+    """Decide the seven equivalent convertibility conditions, each exactly.
 
+    With D = A - B and S = A + B, the four algebraic conditions are integer
+    products.  The three singular-vector conditions are decided through
+    exact bases from one elimination of D: R, the rows of D at its pivot
+    rows, and C, the columns of D at its pivot columns.  The right singular
+    vectors V of D/2 for its positive singular values span D's row space, so
+    SV = 0 exactly when SR^T = 0; the left ones U span D's column space, so
+    S^T U = 0 exactly when S^T C = 0.  AV = U Sigma together with
+    A^T U = V Sigma holds exactly when both of those do.  A disagreement
+    among the seven can only mean a bug and raises RuntimeError.
 
-def gram_singular_numeric(pair: GramPair) -> GramSingularReport:
-    """Gram singular data from the SVD of (A-B)/2."""
-    half = (pair.A.int64() - pair.B.int64()) / 2.0
-    bundle = numerics.svd(half)
-    k = pair.diff_rank
-    return GramSingularReport(
-        values=tuple(float(s) for s in bundle.sigma[:k]),
-        right_vectors=bundle.V[:, :k].copy(),
-        left_vectors=bundle.U[:, :k].copy(),
-        source="numeric",
-    )
-
-
-def convertibility(pair: GramPair, tol: float | None = None) -> ConvertibilityReport:
-    """Evaluate the seven equivalent convertibility conditions.
-
-    Integer conditions are authoritative; a disagreement with the numeric
-    singular-vector conditions raises, since it can only mean a numerics bug.
+    The SVD of D/2 runs only for a convertible pair, to report its Gram
+    singular data, sliced at the rank of D.  `tol` must be None: no
+    condition reads a tolerance.
     """
-    a = pair.A.int64()
-    d = a - pair.B.int64()
-    s = a + pair.B.int64()
-    t = numerics.scaled_tol(pair.A, tol)
-
+    if tol is not None:
+        raise ValueError(f"convertibility takes no tolerance, got {tol}")
+    a, b = pair.A.int64(), pair.B.int64()
+    d, s = a - b, a + b
+    rows, cols = _pivots(d)
+    right_null = not (s @ d[rows].T).any()
+    left_null = not (s.T @ d[:, cols]).any()
     checks = {
         "sum_times_diffT_zero": not (s @ d.T).any(),
         "diffT_times_sum_zero": not (d.T @ s).any(),
+        "sign_flip_recovers_mate": right_null and left_null,
+        "right_vectors_null": right_null,
+        "left_vectors_null": left_null,
         "A_diffT_symmetric": bool((a @ d.T == d @ a.T).all()),
         "AT_diff_symmetric": bool((a.T @ d == d.T @ a).all()),
     }
-    integer_verdict = checks["sum_times_diffT_zero"]
     if len(set(checks.values())) != 1:
-        raise RuntimeError(f"integer convertibility checks disagree: {checks}")
-
-    report = gram_singular_numeric(pair)
-    sv = np.array(report.values)
-    U, V = report.left_vectors, report.right_vectors
-
-    def small(residual: np.ndarray) -> bool:
-        return bool(np.abs(residual).max() <= t)
-
-    sign_flip = small(a @ V - U * sv) and small(a.T @ U - V * sv)
-    rows, cols = _pivots(d)
-    right_null = small(s @ V) and small(_span_residual(d[rows], V))
-    left_null = small(s.T @ U) and small(_span_residual(d.T[cols], U))
-    checks["sign_flip_recovers_mate"] = sign_flip
-    checks["right_vectors_null"] = right_null
-    checks["left_vectors_null"] = left_null
-
-    if {sign_flip, right_null, left_null} != {integer_verdict}:
-        raise RuntimeError(
-            f"numeric convertibility checks disagree with integer verdict: {checks}"
-        )
-    ordered = {name: checks[name] for name in CHECK_NAMES}
+        raise RuntimeError(f"convertibility checks disagree: {checks}")
+    if not checks["sum_times_diffT_zero"]:
+        return ConvertibilityReport(convertible=False, checks=checks, gram_singular=None)
+    bundle = numerics.svd(d / 2.0)
+    k = len(rows)
     return ConvertibilityReport(
-        convertible=integer_verdict,
-        checks=ordered,
-        gram_singular=report if integer_verdict else None,
+        convertible=True,
+        checks=checks,
+        gram_singular=GramSingularReport(
+            values=tuple(float(x) for x in bundle.sigma[:k]),
+            right_vectors=bundle.V[:, :k].copy(),
+            left_vectors=bundle.U[:, :k].copy(),
+            source="numeric",
+        ),
     )

@@ -4,13 +4,11 @@ detection, and the checked entry point of reconstructing (0,1) matrices
 from their two Gram matrices by gale_ryser's exact search, no float read.
 
 The SVD is LAPACK's, through numpy; with BLAS on one thread identical
-inputs give bitwise-identical output.  Every verdict rests on an exact
-integer check, and the floats only cross-check it, so each tolerance here
-is a module constant.  The one argument left is `gram.convertibility`'s,
-read through `scaled_tol`: it must be finite, positive and at most 1e-3,
-and values below 1e-12, which rounding noise alone can exceed, are raised
-to it.  The ceiling keeps a numeric check from accepting what the exact
-integer checks reject: at a tolerance near 1 a near-miss reads as a match.
+inputs give bitwise-identical output.  The SVD only reports values:
+`gram.convertibility` decides all seven of its conditions in integers.  The
+last float predicate that decides anything is `distinct_singular_values`,
+the precondition of `iso.iso_distinct_sv`, under the module constant
+`_REL_TOL`.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import numpy as np
 from . import gale_ryser
 from .matrix_core import BinaryMatrix
 
-DEFAULT_TOL = 1e-9  # absolute, scaled by the max-norm of the input
 _REL_TOL = 1e-8  # least relative gap between distinct singular values
-_TOL_FLOOR = 1e-12
-_TOL_CEILING = 1e-3
 
 
 def _as_float(A) -> np.ndarray:
@@ -34,19 +29,6 @@ def _as_float(A) -> np.ndarray:
     if hasattr(A, "data"):
         return A.data.astype(np.float64)
     return np.array(A, dtype=np.float64)
-
-
-def scaled_tol(A, tol: float | None = None) -> float:
-    """Absolute tolerance (DEFAULT_TOL for None) scaled by the max-norm of A.
-
-    ValueError unless 0 < tol <= _TOL_CEILING (NaN fails both comparisons);
-    a tol below _TOL_FLOOR is raised to it.
-    """
-    if tol is None:
-        tol = DEFAULT_TOL
-    elif not (0 < tol <= _TOL_CEILING):
-        raise ValueError(f"tolerance must be positive and at most {_TOL_CEILING:g}, got {tol}")
-    return max(tol, _TOL_FLOOR) * max(1.0, float(np.abs(_as_float(A)).max()))
 
 
 @dataclass(frozen=True)

@@ -474,6 +474,18 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
+class TestCap:
+    """--cap is a node count: below 0 is a usage error, 0 is a cap hit."""
+
+    @pytest.mark.parametrize("cap, code", [("-1", 2), ("0", 4)])
+    @pytest.mark.parametrize("command", ["isomorphic", "fixable", "mates-of"])
+    def test_cap_at_the_bound(self, capsys, command, cap, code, i2, x2):
+        files = [i2] if command == "mates-of" else [i2, x2]
+        assert run([command, *files, "--cap", cap]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("at least 0" in err) == (code == 2)
+
+
 # ---------------------------------------------------------------------------
 # contract fuzz: any .mtxt text and any argv exit in {0, 2, 3, 4}, never raise
 

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from grammate import numerics
+from grammate import gram, numerics
 from grammate.gram import (
     CHECK_NAMES,
+    GramPair,
     convertibility,
     embed_check,
     is_gram_pair,
@@ -16,6 +17,33 @@ from grammate.oracle import enumerate_gram_pairs
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]]))
 I2 = BinaryMatrix.identity(2)
+
+
+def float_conditions(pair) -> tuple[bool, bool, bool]:
+    """Reference: the three singular-vector conditions in floating point.
+
+    (sign_flip_recovers_mate, right_vectors_null, left_vectors_null) from
+    the SVD of (A-B)/2 for its positive singular values: the residuals of
+    AV = U Sigma, A^T U = V Sigma, (A+B)V = 0 and (A+B)^T U = 0, and the
+    residual of each vector after least-squares projection onto the row or
+    column space of A-B, each at most 1e-9 * max(1, max|A|).
+    """
+    a, b = pair.A.int64(), pair.B.int64()
+    d, s = a - b, a + b
+    k = np.linalg.matrix_rank(d)
+    bundle = numerics.svd(d / 2.0)
+    sv, V, U = bundle.sigma[:k], bundle.V[:, :k], bundle.U[:, :k]
+    tol = 1e-9 * max(1.0, float(np.abs(a).max()))
+
+    def small(residual):
+        return bool(np.abs(residual).max() <= tol)
+
+    def outside_span(basis, X):
+        return X - basis @ np.linalg.lstsq(basis, X, rcond=None)[0]
+
+    return (small(a @ V - U * sv) and small(a.T @ U - V * sv),
+            small(s @ V) and small(outside_span(d.T, V)),
+            small(s.T @ U) and small(outside_span(d, U)))
 
 
 def perm_matrix(img):
@@ -151,8 +179,9 @@ class TestConvertibility:
         assert not rep.convertible and rep.gram_singular is None
 
     def test_all_pairs_up_to_4x4_match_the_integer_verdict(self):
-        # both bases of the span checks come from one elimination; every
-        # check must still equal the integer verdict, computed here
+        # both bases of the three exact basis checks come from one
+        # elimination; every check must equal the integer verdict, computed
+        # here, and so must the float reference
         total = convertible = 0
         for m, n in itertools.product(range(2, 5), repeat=2):
             for pair in enumerate_gram_pairs(m, n):
@@ -160,39 +189,22 @@ class TestConvertibility:
                 verdict = not ((a + b) @ (a - b).T).any()
                 rep = convertibility(pair)
                 assert rep.checks == dict.fromkeys(CHECK_NAMES, verdict)
+                assert float_conditions(pair) == (verdict,) * 3
                 total += 1
                 convertible += verdict
         assert (total, convertible) == (14632, 12676)
 
-    def test_rotated_singular_vectors_raise(self, monkeypatch, rank1_example):
-        # turning each first singular vector towards the null space of A - B
-        # takes it out of the row space; a numeric check must then fail
-        real = numerics.svd
+    @pytest.mark.parametrize("diff_rank", [0, 5, 99])
+    def test_the_callers_diff_rank_is_not_read(self, diff_rank):
+        # GramPair takes diff_rank on trust; the report is sliced at the
+        # rank of its own elimination of A - B
+        rep = convertibility(GramPair(I2, EXCHANGE, diff_rank))
+        assert rep.convertible and rep.gram_singular.values == (1.0,)
 
-        def givens(n, angle=0.3):
-            g = np.eye(n)
-            g[0, 0] = g[-1, -1] = np.cos(angle)
-            g[0, -1], g[-1, 0] = -np.sin(angle), np.sin(angle)
-            return g
-
-        def rotated(a):
-            b = real(a)
-            return numerics.SvdBundle(U=b.U @ givens(len(b.U)), sigma=b.sigma,
-                                      V=b.V @ givens(len(b.V)))
-
-        monkeypatch.setattr(numerics, "svd", rotated)
-        A, B, _ = rank1_example
-        with pytest.raises(RuntimeError, match="numeric"):
-            convertibility(is_gram_pair(A, B))
-
-    def test_vectors_outside_the_difference_row_space_raise(self, monkeypatch):
-        # e3 is a null vector of A and B on both sides: with value 0 it passes
-        # the sign-flip and (A+B)-null checks, so only the exact span test,
-        # which must not lean on the SVD it checks, can reject it
-        A = BinaryMatrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
-        B = BinaryMatrix(np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
-        e = np.eye(3)[:, ::-1]
-        monkeypatch.setattr(numerics, "svd", lambda a: numerics.SvdBundle(
-            U=e, sigma=np.zeros(3), V=e))
-        with pytest.raises(RuntimeError, match="numeric"):
-            convertibility(is_gram_pair(A, B))
+    def test_checks_that_disagree_raise(self, monkeypatch):
+        # I3 and the 3-cycle do not convert; empty bases make the three
+        # basis checks pass vacuously, so they disagree with the other four
+        pair = is_gram_pair(BinaryMatrix.identity(3), perm_matrix((1, 2, 0)))
+        monkeypatch.setattr(gram, "_pivots", lambda d: ([], []))
+        with pytest.raises(RuntimeError, match="disagree"):
+            convertibility(pair)

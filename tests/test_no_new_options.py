@@ -4,8 +4,8 @@ Every verdict rests on an exact check, so a numeric tolerance or a size
 limit is a module constant.  A new option, whether a library parameter or a
 CLI flag, needs two existing callers that need different values.  The table
 below names every option of every subcommand, and no public function takes
-a tolerance except `gram.convertibility` and `numerics.scaled_tol`, which
-reads it.
+a tolerance except `gram.convertibility`, whose `tol` is kept for positional
+callers and accepts only None: all seven of its conditions are exact.
 """
 
 import argparse
@@ -13,8 +13,13 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+import pytest
+
 import grammate
 from grammate.cli import build_parser
+from grammate.gram import convertibility, is_gram_pair
+from grammate.matrix_core import BinaryMatrix
 
 OPTIONS = {
     "verify": {"--json"},
@@ -31,7 +36,7 @@ OPTIONS = {
     "reconstruct": {"--grow", "--gcol"},
 }
 
-TOLERANCE_PARAMETERS = {"gram.convertibility", "numerics.scaled_tol"}
+TOLERANCE_PARAMETERS = {"gram.convertibility"}
 
 
 def _subcommand_options():
@@ -64,3 +69,6 @@ def test_only_convertibility_takes_a_tolerance():
     found = {name for name, fn in _public_callables()
              if any("tol" in p for p in inspect.signature(fn).parameters)}
     assert found == TOLERANCE_PARAMETERS
+    pair = is_gram_pair(BinaryMatrix.identity(2), BinaryMatrix(np.array([[0, 1], [1, 0]])))
+    with pytest.raises(ValueError):
+        convertibility(pair, 1e-6)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grammate import numerics
 from grammate.matrix_core import BinaryMatrix
 from grammate.numerics import distinct_singular_values, reconstruct_from_grams, svd
 
@@ -178,30 +177,3 @@ class TestReconstruct:
     def test_integral_floats_accepted(self):
         g = np.array([[2.0, 1.0], [1.0, 1.0]])
         assert reconstruct_from_grams(g, g) == reconstruct_from_grams(g.astype(int), g.astype(int))
-
-
-class TestTolerances:
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_non_finite_or_non_positive(self, tol):
-        with pytest.raises(ValueError):
-            numerics.scaled_tol(np.eye(2), tol)
-
-    @pytest.mark.parametrize("tol", [2e-3, 10.0])
-    def test_rejects_above_ceiling(self, tol):
-        # near 1 a numeric check accepts what the exact checks reject
-        with pytest.raises(ValueError):
-            numerics.scaled_tol(np.eye(2), tol)
-
-    def test_ceiling_itself_is_accepted(self):
-        assert numerics.scaled_tol(np.eye(2), 1e-3) == 1e-3
-
-    def test_tiny_tol_is_floored(self):
-        assert numerics.scaled_tol(np.eye(2), 1e-30) == 1e-12
-
-
-class TestScaledTol:
-    def test_floor_at_one(self):
-        assert numerics.scaled_tol(np.zeros((2, 2))) == numerics.DEFAULT_TOL
-
-    def test_scales_with_norm(self):
-        assert numerics.scaled_tol(5.0 * np.ones((1, 1))) == 5 * numerics.DEFAULT_TOL
