@@ -2,7 +2,8 @@
 Degree-sequence machinery for (0,1) matrices: conjugate vectors, majorization,
 the Gale-Ryser existence test, a deterministic Ryser-style construction for
 U(R,S), the exact search for every matrix with two given Gram matrices, and
-the block constructions used to synthesize rank-2 witnesses.
+signed_profile_block, which decides and builds the blocks of rank-2 M5
+witnesses as U(R,S) members.
 
 U(R,S) is the class of (0,1) matrices with row sum vector R and column sum
 vector S; the diagonals of BB^T and B^TB are B's row and column sums.
@@ -19,7 +20,7 @@ from .matrix_core import BinaryMatrix
 
 
 class InfeasibleError(ValueError):
-    """No matrix exists with the requested sums or signed block profile."""
+    """No matrix exists with the requested row and column sums."""
 
 
 def _vec(a) -> list[int]:
@@ -67,23 +68,27 @@ def construct_urs(R, S) -> BinaryMatrix:
 
     Columns are processed in decreasing column-sum order (ties by original
     index); each column is filled in the rows with the largest residual row
-    sums, ties broken by lowest row index.
+    sums, ties broken by lowest row index.  The fill also decides whether
+    U(R,S) is empty.  If a member has a one of column j in row i and a zero
+    in a row i' whose residual sum is at least row i's, then row i' has a
+    one in some column where row i has a zero, and swapping the two 2x2
+    corners moves the one to row i'.  So a non-empty U(R,S) has a member
+    whose column j is filled as the fill fills it, and InfeasibleError is
+    raised exactly when U(R,S) is empty.
     """
     r, s = _vec(R), _vec(S)
-    if not exists_urs(r, s):
-        raise InfeasibleError(f"U(R,S) empty for R={tuple(r)}, S={tuple(s)}")
     m, n = len(r), len(s)
     out = np.zeros((m, n), dtype=np.int8)
     residual = r[:]
     for j in sorted(range(n), key=lambda j: (-s[j], j)):
         rows = sorted(range(m), key=lambda i: (-residual[i], i))[: s[j]]
-        if any(residual[i] == 0 for i in rows):
-            raise InfeasibleError("Ryser fill ran out of rows")  # unreachable
+        if len(rows) < s[j] or any(residual[i] == 0 for i in rows):
+            raise InfeasibleError(f"U(R,S) empty for R={tuple(r)}, S={tuple(s)}")
         for i in rows:
             out[i, j] = 1
             residual[i] -= 1
     if any(residual):
-        raise RuntimeError("Ryser fill left row sums unmet")
+        raise InfeasibleError(f"U(R,S) empty for R={tuple(r)}, S={tuple(s)}")
     return BinaryMatrix(out)
 
 
@@ -210,119 +215,34 @@ def spread_construction(R, n: int) -> BinaryMatrix:
     return BinaryMatrix(out)
 
 
-def _J(m: int, n: int) -> np.ndarray:
-    return np.ones((m, n), dtype=np.int8)
+def signed_profile_block(m1: int, m2: int, n1: int, n2: int, r1, r2, c1, c2):
+    """A (0,1) block with a given signed profile, or None when none has it.
 
+    The block has m1 + m2 rows in two bands and n1 + n2 columns in two
+    groups.  Every row of band 1 has (sum over group 1) - (sum over group 2)
+    = r1, and every row of band 2 has r2; every column of group 1 has (sum
+    over band 1) - (sum over band 2) = c1, and every column of group 2 has
+    c2.  Only the targets of non-empty bands and groups are read.
 
-def _Z(m: int, n: int) -> np.ndarray:
-    return np.zeros((m, n), dtype=np.int8)
-
-
-def check_signed_profile(X, m1, m2, n1, n2, row1, row2, col1, col2) -> bool:
-    """Do the four signed block-sum identities hold?
-
-    Rows in the first block have (left sum) - (right sum) = row1, rows in the
-    second block row2; columns analogously col1 and col2 against the signed
-    row split.
+    Complementing band 2 and group 2 (entry (i, j) flips when exactly one of
+    row i in band 2, column j in group 2 holds) turns the signed sums into
+    plain ones, R = (r1 + n2)1 || (n1 - r2)1 and S = (c1 + m2)1 || (m1 - c2)1.
+    So the blocks with the profile are the members of U(R,S), flipped back,
+    and construct_urs decides whether one exists and builds it.
+    The block is an int8 array, since a band or a group may be empty.
     """
-    a = X.int64() if hasattr(X, "int64") else np.asarray(X, dtype=np.int64)
-    if a.shape != (m1 + m2, n1 + n2):
-        raise ValueError("shape mismatch")
-    rsig = a[:, :n1].sum(axis=1) - a[:, n1:].sum(axis=1)
-    csig = a[:m1].sum(axis=0) - a[m1:].sum(axis=0)
-    return (
-        (rsig[:m1] == row1).all()
-        and (rsig[m1:] == row2).all()
-        and (csig[:n1] == col1).all()
-        and (csig[n1:] == col2).all()
-    )
-
-
-def _even_core(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
-    """The lemma's layout for m1 >= m2, n1 >= n2."""
-    alpha = (m1 - m2) // 2
-    beta = (n1 - n2) // 2
-    if alpha == 0 and beta == 0:
-        return _Z(m1 + m2, n1 + n2)
-    if beta == 0:
-        return np.vstack([_J(alpha, n1 + n2), _Z(m1 + m2 - alpha, n1 + n2)])
-    if alpha == 0:
-        return _even_core(n1, n2, m1, m2).T
-    return np.block(
-        [
-            [_J(alpha, beta), _Z(alpha, n2), _Z(alpha, beta), _Z(alpha, n2)],
-            [_Z(m2, beta), _Z(m2, n2), _J(m2, beta), _Z(m2, n2)],
-            [_Z(alpha, beta), _J(alpha, n2), _J(alpha, beta), _J(alpha, n2)],
-            [_Z(m2, beta), _Z(m2, n2), _J(m2, beta), _Z(m2, n2)],
-        ]
-    )
-
-
-def _even_layout(m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
-    """even_block's layout, for any sizes with both pair sums even, zero
-    sizes included.  Orientations with m1 < m2 or n1 < n2 are obtained
-    from the canonical layout by block swaps."""
-    a = _even_core(max(m1, m2), min(m1, m2), max(n1, n2), min(n1, n2))
-    if m1 < m2:
-        a = np.vstack([a[m2:], a[:m2]])
-    if n1 < n2:
-        a = np.hstack([a[:, n2:], a[:, :n2]])
-    return a
-
-
-def even_block(m1: int, m2: int, n1: int, n2: int) -> BinaryMatrix:
-    """X with X(1;-1) = ((n1-n2)/2)*1 and X^T(1;-1) = ((m1-m2)/2)*1.
-
-    Requires all four sizes positive and both pair sums even.
-    """
-    if min(m1, m2, n1, n2) <= 0:
-        raise ValueError("all block sizes must be positive")
-    if (m1 + m2) % 2 or (n1 + n2) % 2:
-        raise ValueError("pair sums must be even")
-    a = _even_layout(m1, m2, n1, n2)
-    h_r = (n1 - n2) // 2
-    h_c = (m1 - m2) // 2
-    if not check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, h_r, h_r, h_c, h_c):
-        raise RuntimeError("even block has the wrong signed profile")
-    return BinaryMatrix(a)
-
-
-def proportional_block(a1, a2, b1, b2, m1, m2, n1, n2) -> BinaryMatrix:
-    """Y with Y(1;-1) = (b1*1; -b2*1) and Y^T(1;-1) = (a1*1; -a2*1).
-
-    Hypotheses: all of a1,a2,b1,b2 positive, m1+m2 > a1+a2, n1+n2 > b1+b2,
-    m1-m2 = a1-a2, n1-n2 = b1-b2, and (n1+n2)/(m1+m2) = (b1+b2)/(a1+a2).
-    The construction follows the split on m1*b1 versus n1*a1.
-    """
-    vals = (a1, a2, b1, b2, m1, m2, n1, n2)
-    if min(vals) <= 0:
-        raise ValueError("all parameters must be positive")
-    if m1 + m2 <= a1 + a2 or n1 + n2 <= b1 + b2:
-        raise ValueError("size hypotheses violated")
-    if m1 - m2 != a1 - a2 or n1 - n2 != b1 - b2:
-        raise ValueError("difference hypotheses violated")
-    if (n1 + n2) * (a1 + a2) != (m1 + m2) * (b1 + b2):
-        raise ValueError("proportionality hypothesis violated")
-    if m1 * b1 + m2 * b2 != n1 * a1 + n2 * a2:  # implied by the three hypotheses
-        raise RuntimeError("hypotheses hold but the block totals differ")
-
-    if m1 * b1 < n1 * a1:
-        return proportional_block(b1, b2, a1, a2, n1, n2, m1, m2).transpose()
-
-    ell = m1 * b1 - n1 * a1
-    if ell == 0:
-        y11 = construct_urs([b1] * m1, [a1] * n1).data
-        y22 = construct_urs([b2] * m2, [a2] * n2).data
-        a = np.block([[y11, _Z(m1, n2)], [_Z(m2, n1), y22]])
-    else:
-        q1, r1 = divmod(ell, n1)
-        s_tilde = [q1 + 1] * r1 + [q1] * (n1 - r1)
-        q2, r2 = divmod(ell, m2)
-        r21 = [q2 + 1] * r2 + [q2] * (m2 - r2)
-        y11 = construct_urs([b1] * m1, [a1 + t for t in s_tilde]).data
-        y21 = construct_urs(r21, s_tilde).data
-        y22 = construct_urs([b2 + t for t in r21], [a2] * n2).data
-        a = np.block([[y11, _Z(m1, n2)], [y21, y22]])
-    if not check_signed_profile(np.asarray(a, dtype=np.int64), m1, m2, n1, n2, b1, -b2, a1, -a2):
-        raise RuntimeError("proportional block has the wrong signed profile")
-    return BinaryMatrix(a)
+    # a comprehension reads its target only when the band or group is non-empty
+    R = [r1 + n2 for _ in range(m1)] + [n1 - r2 for _ in range(m2)]
+    S = [c1 + m2 for _ in range(n1)] + [m1 - c2 for _ in range(n2)]
+    m, n = m1 + m2, n1 + n2
+    if any(x < 0 for x in R + S):
+        return None
+    if m == 0 or n == 0:  # no entries: every sum is zero
+        return None if any(R + S) else np.zeros((m, n), dtype=np.int8)
+    try:
+        block = construct_urs(R, S).data
+    except InfeasibleError:
+        return None
+    flip = np.zeros((m, n), dtype=np.int8)
+    flip[:m1, n1:] = flip[m1:, :n1] = 1
+    return block ^ flip

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import GramPair
-from .matrix_core import BinaryMatrix, Permutation, apply_perms
+from .matrix_core import BinaryMatrix, Permutation, apply_perms, rank_exact
 from .numerics import distinct_singular_values
 from .rank_forms import classify_rank1
 
@@ -80,11 +80,13 @@ class IsoWitness:
 
 
 def remaining_context(pair: GramPair) -> RemainingContext:
-    if pair.diff_rank != 1:
-        raise ValueError(f"diff_rank is {pair.diff_rank}, not 1")
+    # decided from the difference itself, not from the pair's diff_rank field
     d = pair.diff()
     form = classify_rank1(d)
     if form is None:
+        rank = rank_exact(d)
+        if rank != 1:
+            raise ValueError(f"the difference has rank {rank}, not 1")
         raise RuntimeError("rank-1 difference of a Gram pair has no canonical form")
     k1, k2 = form.k1, form.k2
     a = apply_perms(pair.A, form.row_perm, form.col_perm).int64()

@@ -19,9 +19,10 @@ forces A = 1 where E = -1 and A = 0 where E = 1, so every witness is
 [E = -1] with its zero cells built.  The zero rows and columns of E stay
 zero in A.  The other zero cells are, for each basis pattern, its two row
 groups by its zero columns, two adjacent column groups; each such block
-is filled at once: with a half strip for M2-M4, and for M5 with the
-blocks X, Y and Z of the paper's lemmas or, where their hypotheses fail,
-of a backtracking search.
+is filled at once: with a half strip for M2-M4.  For M5 the three blocks
+X, Y and Z come from one exact search over their signed row and column
+sums, each block a Gale-Ryser U(R,S) member once one of its row bands and
+one of its column groups are complemented.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import gale_ryser
-from .gale_ryser import _J, _Z
 from .gram import GramSingularReport, is_realizable_witness
 from .matrix_core import BinaryMatrix, Permutation, SignedMatrix, rank_exact
 
@@ -435,7 +435,7 @@ def _half_strip(t: int, m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     """M2-M4 block for pattern t: (m1+m2) x (n1+n2), every row with signed
     sum (n1-n2)/2."""
     d = (n1 - n2) // 2
-    out = _Z(m1 + m2, n1 + n2)
+    out = np.zeros((m1 + m2, n1 + n2), dtype=np.int8)
     if d > 0:
         out[:, :d] = 1
     elif d < 0:
@@ -443,184 +443,77 @@ def _half_strip(t: int, m1: int, m2: int, n1: int, n2: int) -> np.ndarray:
     return out
 
 
-# the row and column index names that take the places of klpqrs and abcdef
-# when the given block plays the X role
-_M5_ROOTS = {"X": ("klpqrs", "abcdef"), "Y": ("pqklsr", "abefcd"), "Z": ("rsklqp", "cdfeab")}
+def _chain_pairs(members1, members2, total: int) -> list[tuple[int, int]]:
+    """The value pairs of two chains, each value nearest total / 2 first,
+    ties to the smaller.
 
-
-def _m5_relabel(d: dict[str, int], root: str):
-    """Indices that move the root block into the X role, with the row and
-    column maps from the original canonical order to the relabelled one."""
-    relabelled, orders = {}, []
-    for names, src in zip(_M5_ROOTS["X"], _M5_ROOTS[root]):
-        relabelled.update((new, d[old]) for new, old in zip(names, src))
-        start = dict(zip(names, itertools.accumulate((d[n] for n in names), initial=0)))
-        orders.append([i for n in src for i in range(start[n], start[n] + d[n])])
-    return relabelled, *orders
-
-
-def _complete_m5_odd_rooted(d: dict[str, int]):
-    """Blocks (X, Y, Z): the diagonal construction at X, Y and Z built by
-    the lemma; None when a positivity hypothesis of the lemma fails."""
-    k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
-    a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
-    X = np.block([[_J(k, e), _Z(k, f)], [_Z(l, e), _J(l, f)]])
-    try:
-        if p + q == k + l:
-            # equal sizes force q=k, p=l, c=e, d=f
-            Y = np.block([[_Z(p, c), _J(p, dd)], [_J(q, c), _Z(q, dd)]])
-        else:
-            if min(l, k, f, e, p, q, dd, c) <= 0:
-                return None
-            # built over the swapped column split (d,c), then swapped back
-            w = gale_ryser.proportional_block(l, k, f, e, p, q, dd, c).data
-            Y = np.hstack([w[:, dd:], w[:, :dd]])
-        if r + s == k + l:
-            Z = np.block([[_J(r, a), _Z(r, b)], [_Z(s, a), _J(s, b)]])
-        else:
-            if min(l, k, f, e, r, s, a, b) <= 0:
-                return None
-            Z = gale_ryser.proportional_block(l, k, f, e, r, s, a, b).data
-    except ValueError:
-        return None
-    return X, Y, Z
-
-
-def _row_candidates(n1: int, n2: int, target: int) -> list[np.ndarray]:
-    out = []
-    for bits in itertools.product((0, 1), repeat=n1 + n2):
-        v = np.array(bits, dtype=np.int8)
-        if int(v[:n1].sum()) - int(v[n1:].sum()) == target:
-            out.append(v)
-    return out
-
-
-def _search_block(m1, m2, n1, n2, r1, r2, c1, c2):
-    """Backtracking search for a block with the given signed-sum profile.
-    Targets for empty bands are ignored.  Desk-scale sizes only."""
-    m, n = m1 + m2, n1 + n2
-    if m == 0 or n == 0:
-        return _Z(m, n)
-    rows_spec = [(r1, 1)] * m1 + [(r2, -1)] * m2
-    cands = {}
-    for tgt, _ in rows_spec:
-        if tgt not in cands:
-            cands[tgt] = _row_candidates(n1, n2, tgt)
-    col_target = np.array([c1] * n1 + [c2] * n2, dtype=np.int64)
-    chosen = np.zeros((m, n), dtype=np.int8)
-    cur = np.zeros(n, dtype=np.int64)
-
-    def feasible(i):
-        rem_plus = sum(1 for t, sgn in rows_spec[i:] if sgn == 1)
-        rem_minus = m - i - rem_plus
-        lo = cur - rem_minus
-        hi = cur + rem_plus
-        return ((col_target >= lo) & (col_target <= hi)).all()
-
-    def rec(i):
-        nonlocal cur
-        if i == m:
-            return (cur == col_target).all()
-        tgt, sgn = rows_spec[i]
-        for v in cands[tgt]:
-            chosen[i] = v
-            cur += sgn * v
-            if feasible(i + 1) and rec(i + 1):
-                return True
-            cur -= sgn * v
-        return False
-
-    if rec(0):
-        return chosen
-    return None
-
-
-def _complete_m5_search(E: np.ndarray, signed: SignedMatrix, d: dict[str, int]):
-    """Parameter-profile enumeration with per-block backtracking; covers the
-    degenerate odd cases that the structured constructions skip.  E is the
-    padded canonical matrix and signed the same as a SignedMatrix."""
-    k, l, p, q, r, s = (d[n] for n in ("k", "l", "p", "q", "r", "s"))
-    a, b, c, dd, e, f = (d[n] for n in ("a", "b", "c", "d", "e", "f"))
-
-    def chain_range(members):
-        """The intersection of the present members' ranges, or None if none is present."""
+    A member is (present, (lo, hi)), and a chain's values are the
+    intersection of its present members' ranges.  When both chains are
+    present their values sum to total; a chain with no member present takes
+    the placeholder 0, which no block reads.
+    """
+    def values(members):
         ranges = [rng for present, rng in members if present]
         if not ranges:
             return None
-        return max(lo for lo, _ in ranges), min(hi for _, hi in ranges)
+        lo, hi = max(r[0] for r in ranges), min(r[1] for r in ranges)
+        return sorted(range(lo, hi + 1), key=lambda x: (abs(2 * x - total), x))
 
-    # value chains x1=y2=-z2 and x2=y1=-z1
-    c1r = chain_range([(k > 0, (-f, e)), (q > 0, (-dd, c)), (s > 0, (-a, b))])
-    c2r = chain_range([(l > 0, (-f, e)), (p > 0, (-dd, c)), (r > 0, (-a, b))])
-    sum_rows = (k > 0 and l > 0) or (p > 0 and q > 0) or (r > 0 and s > 0)
-    # column chains gamma1=beta2=-alpha2 and gamma2=beta1=-alpha1
-    d1r = chain_range([(f > 0, (-k, l)), (dd > 0, (-q, p)), (a > 0, (-s, r))])
-    d2r = chain_range([(e > 0, (-k, l)), (c > 0, (-q, p)), (b > 0, (-r, s))])
-    sum_cols = (e > 0 and f > 0) or (c > 0 and dd > 0) or (a > 0 and b > 0)
+    firsts, seconds = values(members1), values(members2)
+    if firsts is None or seconds is None:
+        return list(itertools.product(firsts or [0], seconds or [0]))
+    return [(v, total - v) for v in firsts if total - v in seconds]
 
-    def span(rng):
-        if rng is None:
-            return [None]
-        return list(range(rng[0], rng[1] + 1))
 
-    for v1 in span(c1r):
-        v2_opts = span(c2r)
-        if sum_rows and c1r is not None and c2r is not None:
-            v2_opts = [e - f - v1] if c2r[0] <= e - f - v1 <= c2r[1] else []
-        for v2 in v2_opts:
-            for w1 in span(d1r):
-                w2_opts = span(d2r)
-                if sum_cols and d1r is not None and d2r is not None:
-                    w2_opts = [l - k - w1] if d2r[0] <= l - k - w1 <= d2r[1] else []
-                for w2 in w2_opts:
-                    X = _search_block(
-                        k, l, e, f,
-                        v1, v2,
-                        None if w2 is None else -w2,
-                        None if w1 is None else -w1,
-                    )
-                    if X is None:
-                        continue
-                    Y = _search_block(p, q, c, dd, v2, v1, w2, w1)
-                    if Y is None:
-                        continue
-                    Z = _search_block(
-                        r, s, a, b,
-                        None if v2 is None else -v2,
-                        None if v1 is None else -v1,
-                        w1, w2,
-                    )
-                    if Z is None:
-                        continue
-                    cand = _fill(E, "M5", d, lambda t, *_: (X, Y, Z)[t])
-                    if is_realizable_witness(signed, BinaryMatrix(cand)):
-                        return cand
+def _complete_m5(E: np.ndarray, d: dict[str, int]):
+    """Witness for the padded canonical M5 matrix E, or None when it has none.
+
+    The zero cells of E off its zero rows and columns are three blocks: X
+    on rows k, l by columns e, f; Y on rows p, q by columns c, d; Z on rows
+    r, s by columns a, b.  A block row's signed sum is its sum over the
+    block's first column group less its second, a block column's its sum
+    over the first band less the second.  With B = A + E, AA^T = BB^T at a
+    row of one basis pattern and a row of another says that the two rows'
+    signed sums add to a constant of the indices.  Every basis pattern of
+    an M5 form has a row, so the signed row sums are constant on each band,
+    and A^TA = B^TB makes the signed column sums constant on each column
+    group the same way.  The identities tie the constants into two value
+    chains, x1 = y2 = -z2 = v1 and x2 = y1 = -z1 = v2 (x1 and x2 those of
+    X's bands k and l, and so on), and two column chains: w1 is the signed
+    column sum of Z's a and Y's d columns and minus that of X's f columns,
+    w2 the same for Z's b, Y's c and X's e columns.  A row of one value
+    chain and a row of the other, in different patterns, give v1 + v2 =
+    e - f, and such a pair exists whenever both chains have rows; likewise
+    w1 + w2 = l - k whenever both column chains have columns.
+
+    A block with a given profile is a U(R,S) member once one band and one
+    column group are complemented (gale_ryser.signed_profile_block), so
+    each profile is decided exactly, and the first whose three blocks exist
+    gives the witness; rank2_complete verifies it.  Values are tried
+    nearest the midpoint first, v near (e - f)/2 and w near (l - k)/2, ties
+    to the smaller.  When every pair sum is even, the midpoint profile is
+    the even lemma's, whose witness is the convertible one, so an even form
+    keeps a convertible witness.
+    """
+    k, l, p, q, r, s, a, b, c, dd, e, f = (d[n] for n in "klpqrsabcdef")
+    rows = _chain_pairs(
+        [(k > 0, (-f, e)), (q > 0, (-dd, c)), (s > 0, (-a, b))],
+        [(l > 0, (-f, e)), (p > 0, (-dd, c)), (r > 0, (-a, b))],
+        e - f,
+    )
+    cols = _chain_pairs(
+        [(f > 0, (-k, l)), (dd > 0, (-q, p)), (a > 0, (-s, r))],
+        [(e > 0, (-k, l)), (c > 0, (-q, p)), (b > 0, (-s, r))],
+        l - k,
+    )
+    block = gale_ryser.signed_profile_block
+    for (v1, v2), (w1, w2) in itertools.product(rows, cols):
+        X = block(k, l, e, f, v1, v2, -w2, -w1)
+        Y = None if X is None else block(p, q, c, dd, v2, v1, w2, w1)
+        Z = None if Y is None else block(r, s, a, b, -v2, -v1, w1, w2)
+        if Z is not None:
+            return _fill(E, "M5", d, lambda t, *_: (X, Y, Z)[t])
     return None
-
-
-def _complete_m5(E: np.ndarray, d: dict[str, int]) -> np.ndarray:
-    """Witness for the padded canonical M5 matrix E."""
-    rows = (d["k"] + d["l"], d["p"] + d["q"], d["r"] + d["s"])
-    cols = (d["a"] + d["b"], d["c"] + d["d"], d["e"] + d["f"])
-    if all(t % 2 == 0 for t in rows + cols):
-        return _fill(E, "M5", d, lambda t, *sizes: gale_ryser._even_layout(*sizes))
-    # odd/proportional branch: put the smallest block in the X role
-    signed = SignedMatrix(E)
-    sizes = {"X": rows[0], "Y": rows[1], "Z": rows[2]}
-    for root in sorted(sizes, key=lambda nm: (sizes[nm], nm)):
-        dr, row_order, col_order = _m5_relabel(d, root)
-        blocks = _complete_m5_odd_rooted(dr)
-        if blocks is not None:
-            # the relabelled canonical matrix is E read in the new order
-            at = np.ix_(row_order, col_order)
-            out = np.zeros_like(E)
-            out[at] = _fill(E[at], "M5", dr, lambda t, *_: blocks[t])
-            if is_realizable_witness(signed, BinaryMatrix(out)):
-                return out
-    out = _complete_m5_search(E, signed, d)
-    if out is None:
-        raise RuntimeError("witness construction failed for a realizable M5 form")
-    return out
 
 
 def rank2_complete(form: Rank2Form) -> BinaryMatrix:
@@ -629,6 +522,8 @@ def rank2_complete(form: Rank2Form) -> BinaryMatrix:
         raise NotRealizableError(f"form {form.mtype} {form.as_dict()} is not realizable")
     mtype, d, E = _canonical_of(form)
     A = _complete_m5(E, d) if mtype == "M5" else _fill(E, mtype, d, _half_strip)
+    if A is None:
+        raise RuntimeError(f"no block profile completes the realizable form M5 {d}")
     A, E = _to_original(form, A, E)
     A, E = BinaryMatrix(A), SignedMatrix(E)
     # never emit an unverified witness, also under python -O

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from grammate import combinators, gale_ryser, numerics, oracle
+from grammate import combinators, gale_ryser, numerics, oracle, rank_forms
 from grammate.gram import convertibility, is_gram_pair
 from grammate.iso import (
     NON_ISOMORPHIC,
@@ -190,7 +190,7 @@ def _witness_exists(E):
 def test_09_m5_realizability_agrees_with_completion():
     done = timed(120.0)
     predicted_true = 0
-    refuted = 0
+    refuted = searched = 0
     for idx in _m5_tuples(3):
         if sum(idx[n] for n in "klpqrs") == 0 or sum(idx[n] for n in "abcdef") == 0:
             continue
@@ -206,11 +206,18 @@ def test_09_m5_realizability_agrees_with_completion():
             assert is_gram_pair(A, B) is not None
             # the witness is [E = -1] outside the zero cells of E
             assert ((A.data == (E.data == -1)) | (E.data == 0)).all()
-        elif int((E.int64() == 0).sum()) <= 12:
-            assert not _witness_exists(E)
-            refuted += 1
+        else:
+            if form.mtype == "M5":
+                # the exact block-profile search agrees: no profile completes it
+                _, d, canon = rank_forms._canonical_of(form)
+                assert rank_forms._complete_m5(canon, d) is None
+                searched += 1
+            if int((E.int64() == 0).sum()) <= 12:
+                assert not _witness_exists(E)
+                refuted += 1
     assert predicted_true > 1000
     assert refuted > 10
+    assert searched > 1000
     done()
 
 

@@ -7,19 +7,44 @@ from hypothesis import strategies as st
 
 from grammate.gale_ryser import (
     InfeasibleError,
-    _even_layout,
-    check_signed_profile,
     conjugate,
     construct_urs,
-    even_block,
     exists_urs,
     majorizes,
-    proportional_block,
+    signed_profile_block,
     spread_construction,
 )
 from grammate.matrix_core import col_sums, row_sums
 
 degree_vectors = st.lists(st.integers(0, 4), min_size=1, max_size=5)
+
+
+def check_signed_profile(X, m1, m2, n1, n2, row1, row2, col1, col2) -> bool:
+    """Do the four signed block-sum identities hold?
+
+    Rows in the first band have (left sum) - (right sum) = row1, rows in the
+    second band row2; columns analogously col1 and col2 against the signed
+    row split.
+    """
+    a = np.asarray(X, dtype=np.int64)
+    if a.shape != (m1 + m2, n1 + n2):
+        raise ValueError("shape mismatch")
+    rsig = a[:, :n1].sum(axis=1) - a[:, n1:].sum(axis=1)
+    csig = a[:m1].sum(axis=0) - a[m1:].sum(axis=0)
+    return (
+        (rsig[:m1] == row1).all()
+        and (rsig[m1:] == row2).all()
+        and (csig[:n1] == col1).all()
+        and (csig[n1:] == col2).all()
+    )
+
+
+def profile_block(m1, m2, n1, n2, row1, row2, col1, col2):
+    """signed_profile_block, asserted to exist and to have the profile."""
+    x = signed_profile_block(m1, m2, n1, n2, row1, row2, col1, col2)
+    assert x is not None, (m1, m2, n1, n2, row1, row2, col1, col2)
+    assert check_signed_profile(x, m1, m2, n1, n2, row1, row2, col1, col2)
+    return x
 
 
 class TestConjugate:
@@ -96,6 +121,20 @@ class TestConstructUrs:
         with pytest.raises(InfeasibleError):
             construct_urs((2,), (1, 1, 1))
 
+    def test_raises_exactly_when_empty(self):
+        # the fill decides existence by itself; Gale-Ryser is the reference,
+        # with sums past the shape and unequal totals included
+        for m, n in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            for r in itertools.product(range(n + 2), repeat=m):
+                for s in itertools.product(range(m + 2), repeat=n):
+                    try:
+                        x = construct_urs(r, s)
+                    except InfeasibleError:
+                        assert not exists_urs(r, s), (r, s)
+                        continue
+                    assert exists_urs(r, s), (r, s)
+                    assert row_sums(x) == r and col_sums(x) == s
+
     def test_paper_instance(self):
         m = construct_urs((3, 3, 0, 2, 3), (3, 3, 3, 2))
         assert row_sums(m) == (3, 3, 0, 2, 3)
@@ -147,62 +186,79 @@ class TestSpreadConstruction:
         assert col_sums(m) == tuple([q + 1] * rem + [q] * (n - rem))
 
 
+class TestSignedProfileBlock:
+    def test_exact_against_brute_force(self):
+        # every size with m1 + m2 <= 3 and n1 + n2 <= 3, and every profile
+        # one step beyond the reachable range: a block comes back, with the
+        # profile, exactly when some (0,1) block has it
+        checked = 0
+        sizes = [(x, y) for x in range(4) for y in range(4) if x + y <= 3]
+        for (m1, m2), (n1, n2) in itertools.product(sizes, repeat=2):
+            m, n = m1 + m2, n1 + n2
+            have = set()
+            for bits in itertools.product((0, 1), repeat=m * n):
+                a = np.array(bits, dtype=np.int64).reshape(m, n)
+                rsig = a[:, :n1].sum(axis=1) - a[:, n1:].sum(axis=1)
+                csig = a[:m1].sum(axis=0) - a[m1:].sum(axis=0)
+                # a target of an empty band or group is None, and not read
+                sig = []
+                for part in (rsig[:m1], rsig[m1:], csig[:n1], csig[n1:]):
+                    if len(set(part.tolist())) > 1:
+                        break
+                    sig.append(int(part[0]) if len(part) else None)
+                else:
+                    have.add(tuple(sig))
+            spans = [range(-n2 - 1, n1 + 2) if m1 else [None],
+                     range(-n2 - 1, n1 + 2) if m2 else [None],
+                     range(-m2 - 1, m1 + 2) if n1 else [None],
+                     range(-m2 - 1, m1 + 2) if n2 else [None]]
+            for prof in itertools.product(*spans):
+                x = signed_profile_block(m1, m2, n1, n2, *prof)
+                assert (x is not None) == (prof in have), (m1, m2, n1, n2, prof)
+                if x is not None:
+                    assert set(np.unique(x).tolist()) <= {0, 1}
+                    assert check_signed_profile(x, m1, m2, n1, n2, *(t or 0 for t in prof))
+                checked += 1
+        assert checked > 10_000
+
+
 class TestEvenBlock:
-    def test_zero_when_balanced(self):
-        assert not even_block(2, 2, 3, 3).data.any()
-
-    def test_requires_parity(self):
-        with pytest.raises(ValueError):
-            even_block(2, 1, 1, 1)
-
-    def test_requires_positive(self):
-        with pytest.raises(ValueError):
-            even_block(0, 2, 1, 1)
+    """The even lemma: both pair sums even give a block whose rows have
+    signed sum (n1-n2)/2 and whose columns have (m1-m2)/2."""
 
     def test_exhaustive_identities(self):
-        for m1, m2, n1, n2 in itertools.product(range(1, 6), repeat=4):
-            if (m1 + m2) % 2 or (n1 + n2) % 2:
-                continue
-            x = even_block(m1, m2, n1, n2)
-            assert check_signed_profile(
-                x, m1, m2, n1, n2, (n1 - n2) // 2, (n1 - n2) // 2, (m1 - m2) // 2, (m1 - m2) // 2
-            ), (m1, m2, n1, n2)
-        # the layout itself also takes zero sizes, as the M5 completion needs
         profiles = 0
         for m1, m2, n1, n2 in itertools.product(range(6), repeat=4):
             if (m1 + m2) % 2 or (n1 + n2) % 2 or m1 + m2 == 0 or n1 + n2 == 0:
                 continue
-            x = _even_layout(m1, m2, n1, n2)
-            assert check_signed_profile(
-                x, m1, m2, n1, n2, (n1 - n2) // 2, (n1 - n2) // 2, (m1 - m2) // 2, (m1 - m2) // 2
-            ), (m1, m2, n1, n2)
+            h_r, h_c = (n1 - n2) // 2, (m1 - m2) // 2
+            profile_block(m1, m2, n1, n2, h_r, h_r, h_c, h_c)
             profiles += 1
         assert profiles == 289
 
 
 class TestProportionalBlock:
+    """The proportional lemma: with a1, a2, b1, b2 positive, m1+m2 > a1+a2,
+    n1+n2 > b1+b2, m1-m2 = a1-a2, n1-n2 = b1-b2 and (n1+n2)/(m1+m2) =
+    (b1+b2)/(a1+a2), a block has rows b1 and -b2 and columns a1 and -a2."""
+
     def test_paper_worked_example(self):
-        y = proportional_block(4, 6, 5, 3, 9, 11, 9, 7)
-        assert check_signed_profile(y, 9, 11, 9, 7, 5, -3, 4, -6)
-        # the middle-left block is the identity over two zero rows
-        assert (y.data[9:20, :9] == np.vstack([np.eye(9), np.zeros((2, 9))])).all()
+        profile_block(9, 11, 9, 7, 5, -3, 4, -6)
 
     def test_equal_product_branch(self):
-        y = proportional_block(1, 1, 1, 1, 2, 2, 2, 2)
-        assert check_signed_profile(y, 2, 2, 2, 2, 1, -1, 1, -1)
+        # m1*b1 = n1*a1
+        profile_block(2, 2, 2, 2, 1, -1, 1, -1)
 
     def test_transpose_branch(self):
-        # m1*b1 < n1*a1 exercises the transposed recursion
-        y = proportional_block(5, 3, 4, 6, 9, 7, 9, 11)
-        assert check_signed_profile(y, 9, 7, 9, 11, 4, -6, 5, -3)
+        # m1*b1 < n1*a1
+        profile_block(9, 7, 9, 11, 4, -6, 5, -3)
 
     def test_hypothesis_violations(self):
-        with pytest.raises(ValueError):
-            proportional_block(1, 1, 1, 1, 2, 2, 2, 3)
-        with pytest.raises(ValueError):
-            proportional_block(0, 1, 1, 1, 2, 2, 2, 2)
-        with pytest.raises(ValueError):
-            proportional_block(2, 1, 1, 1, 2, 2, 2, 2)
+        # these break m1*b1 + m2*b2 = n1*a1 + n2*a2, which counts the
+        # block's signed total by rows and by columns: no block has them
+        assert signed_profile_block(2, 2, 2, 3, 1, -1, 1, -1) is None
+        assert signed_profile_block(2, 2, 2, 2, 1, -1, 0, -1) is None
+        assert signed_profile_block(2, 2, 2, 2, 1, -1, 2, -1) is None
 
     def test_small_sweep(self):
         found = 0
@@ -217,7 +273,6 @@ class TestProportionalBlock:
                 n2 = n_total - n1
                 if n1 - n2 != b1 - b2 or n1 <= b1 or n2 <= 0:
                     continue
-                y = proportional_block(a1, a2, b1, b2, m1, m2, n1, n2)
-                assert check_signed_profile(y, m1, m2, n1, n2, b1, -b2, a1, -a2)
+                profile_block(m1, m2, n1, n2, b1, -b2, a1, -a2)
                 found += 1
         assert found > 20

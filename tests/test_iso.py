@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grammate import oracle
 from grammate.combinators import kron_pair, kron_swap
-from grammate.gram import is_gram_pair
+from grammate.gram import GramPair, is_gram_pair
 from grammate.iso import (
     NON_ISOMORPHIC,
     UNDECIDED,
@@ -66,6 +66,14 @@ class TestRemainingContext:
         assert p is not None and p.diff_rank == 2
         with pytest.raises(ValueError):
             remaining_context(p)
+        # a diff_rank field that claims rank 1 does not let it through
+        with pytest.raises(ValueError):
+            remaining_context(GramPair(a, b, 1))
+
+    @pytest.mark.parametrize("diff_rank", [0, 5, 99])
+    def test_decided_from_the_difference(self, diff_rank):
+        ctx = remaining_context(GramPair(I2, EXCHANGE, diff_rank))
+        assert (ctx.k1, ctx.k2) == (1, 1)
 
 
 class TestIsFixable:

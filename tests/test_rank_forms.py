@@ -380,7 +380,7 @@ class TestRank2Complete:
             assert ((A.data == (E.data == -1)) | (E.data == 0)).all()
 
     def test_m5_odd_needs_larger_partner_blocks(self):
-        # smallest block in the X role, partners built by the proportional lemma
+        # odd pair sums, with fewer rows in X than in Y and Z
         f = form_of("M5", k=2, l=1, p=3, q=4, r=3, s=4, a=4, b=3, c=3, d=4, e=1, f=2)
         rank2_complete(f)
 
