@@ -132,8 +132,10 @@ def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
     and c is tested against it by two quadratic forms: c covers j or k on
     every pair whose count equals the rows left, and holds no pair with
     R_jk = 0.  Leaves are kept when both Gram identities hold exactly.
-    Chunks go depth first, and F * max(K, n) * n is at most _BLOCK (or
-    F = 1), which bounds the temporaries however wide a level grows.
+    Chunks go depth first from an explicit stack of (level, frontier, chunk
+    offset), so the depth, one level per row, is not bounded by Python's
+    recursion limit.  F * max(K, n) * n is at most _BLOCK (or F = 1), which
+    bounds the temporaries however wide a level grows.
 
     One node is one candidate row tried for one partial matrix, so a chunk
     at level i costs F * C(n, G_row[i, i]) nodes, as one-by-one
@@ -153,41 +155,44 @@ def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
     found: list[BinaryMatrix] = []
     budget = node_cap
 
-    def expand(i: int, front: np.ndarray):
-        # front: (F, m, n) partial matrices with rows i.. zero
-        nonlocal budget
+    # (level, frontier, chunk offset): the frontier holds partial matrices
+    # with rows level.. zero, and its chunks from the offset on are to come
+    stack = [(0, np.zeros((1, m, n), dtype=np.int8), 0)]
+    while stack:
+        i, front, lo = stack.pop()
         if i == m:
             b = front.astype(np.int64)
             bt = b.transpose(0, 2, 1)
             ok = (b @ bt == gr).all(axis=(1, 2)) & (bt @ b == gc).all(axis=(1, 2))
             found.extend(BinaryMatrix(x) for x in front[ok])
-            return
+            continue
         s, k = rs[i], math.comb(n, rs[i])
         step = max(1, _BLOCK // (max(k, n) * n))
-        for lo in range(0, len(front), step):
-            f = front[lo:lo + step]
-            budget -= len(f) * k
-            if budget < 0:
-                raise OracleCapError("Gram search exceeded the node cap")
-            if s not in by_sum:
-                rows = _rows_with_sum(n, s)
-                by_sum[s] = rows, 1 - rows
-            cands, gaps = by_sum[s]
-            placed = f[:, :i].reshape(-1, n)
-            wide = placed.astype(np.int64).reshape(len(f), i, n)
-            r = gc - wide.transpose(0, 2, 1) @ wide
-            d = np.diagonal(r, axis1=1, axis2=2)
-            ok = _unflagged(d[:, :, None] + d[:, None, :] - r == m - i, gaps)
-            ok &= _unflagged(r == 0, cands)
-            # products of 0/1 rows are integers of at most n, exact in float32
-            prod = (placed @ cands).reshape(len(f), i, k)
-            ok &= (prod == gr[i, :i, None]).all(axis=1)
-            fi, ki = np.nonzero(ok)
+        f = front[lo:lo + step]
+        if lo + step < len(front):
+            stack.append((i, front, lo + step))
+        budget -= len(f) * k
+        if budget < 0:
+            raise OracleCapError("Gram search exceeded the node cap")
+        if s not in by_sum:
+            rows = _rows_with_sum(n, s)
+            by_sum[s] = rows, 1 - rows
+        cands, gaps = by_sum[s]
+        placed = f[:, :i].reshape(-1, n)
+        wide = placed.astype(np.int64).reshape(len(f), i, n)
+        r = gc - wide.transpose(0, 2, 1) @ wide
+        d = np.diagonal(r, axis1=1, axis2=2)
+        ok = _unflagged(d[:, :, None] + d[:, None, :] - r == m - i, gaps)
+        ok &= _unflagged(r == 0, cands)
+        # products of 0/1 rows are integers of at most n, exact in float32
+        prod = (placed @ cands).reshape(len(f), i, k)
+        ok &= (prod == gr[i, :i, None]).all(axis=1)
+        fi, ki = np.nonzero(ok)
+        if len(fi):
             child = f[fi]
             child[:, i] = cands.T[ki]
-            expand(i + 1, child)
+            stack.append((i + 1, child, 0))
 
-    expand(0, np.zeros((1, m, n), dtype=np.int8))
     found.sort(key=lambda M: tuple(M.data.flatten().tolist()))
     return found
 

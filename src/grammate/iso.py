@@ -164,7 +164,9 @@ def _refine(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_colour=None):
     """A complete search for B = PAQ with P and Q preserving the given colours.
 
-    Rows are placed one at a time, each placement one node against the cap.
+    Rows are placed one at a time, each placement one node against the cap,
+    by a loop that keeps one candidate iterator per row, so the depth (one
+    level per row) is not bounded by Python's recursion limit.
     A row of a may go to a row of b with the same (colour, Gram diagonal,
     sorted Gram row) that agrees on the Gram matrix with every row already
     placed; the Gram diagonal of a (0,1) matrix is its row sums.  A complete
@@ -233,44 +235,52 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
             raise RuntimeError("isomorphism witness does not map A to B")
         return IsoWitness(P=P, Q=Q)
 
-    def place(i):
+    def place():
+        """Depth-first placement of every row, one candidate iterator per row."""
         nonlocal left
-        if i == m:
-            found = close()
-            if found is None and not refined:
-                raise _DeadEnd
-            return found
-        gi = ga[i]
-        for r in cand[i]:
-            if used[r]:
-                continue
-            gr = gb[r]
-            if any(gr[rho[i2]] != gi[i2] for i2 in range(i)):
+        stack = [iter(cand[0])]  # stack[i]: the candidates row i has not tried
+        while stack:
+            i = len(stack) - 1
+            if rho[i] >= 0:
+                used[rho[i]], rho[i] = False, -1
+            gi = ga[i]
+            for r in stack[i]:
+                if used[r]:
+                    continue
+                gr = gb[r]
+                if all(gr[rho[i2]] == gi[i2] for i2 in range(i)):
+                    break
+            else:
+                if not refined:
+                    raise _DeadEnd
+                stack.pop()
                 continue
             left -= 1
             if left < 0:
                 raise CapExceeded
             rho[i], used[r] = r, True
-            found = place(i + 1)
+            if i + 1 < m:
+                stack.append(iter(cand[i + 1]))
+                continue
+            found = close()
             if found is not None:
                 return found
-            rho[i], used[r] = -1, False
-        if not refined:
-            raise _DeadEnd
+            if not refined:
+                raise _DeadEnd
         return None
 
     try:
         try:
-            found = place(0)
+            found = place()
         except _DeadEnd:
             colours = _refine(a, b, np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
             if colours is None:
                 return NON_ISOMORPHIC
             rows, cols = (c.tolist() for c in colours)
             cand, b_cols = keyed(rows, cols)
-            used = [False] * m
+            rho, used = [-1] * m, [False] * m
             refined = True
-            found = place(0)
+            found = place()
     except CapExceeded:
         return UNDECIDED
     return NON_ISOMORPHIC if found is None else found

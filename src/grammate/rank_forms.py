@@ -5,7 +5,8 @@ A realizable difference matrix of rank 1 is permutation equivalent to
 [[J,-J,0],[-J,J,0],[0,0,0]]; rank-2 matrices fall into five block forms
 M1..M5.  This module classifies a given difference matrix into its form,
 decides realizability, completes a form to a concrete witness A (so that
-(A, A+E) is a Gram pair), and produces closed-form Gram singular data.
+(A, A+E) is a Gram pair), and reads the Gram singular values off two
+integer invariants of the form's group matrix and group sizes (_gram_data).
 Whether a given A is a witness is gram.is_realizable_witness's question.
 
 One table, _LAYOUT, describes the six canonical forms.  Classification is
@@ -31,7 +32,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,11 +118,6 @@ def _pad(a: np.ndarray, shape) -> np.ndarray:
 def _canonical(mtype: str, idx: dict[str, int], pad_rows: int, pad_cols: int) -> SignedMatrix:
     core = _core(mtype, idx)
     return SignedMatrix(_pad(core, (core.shape[0] + pad_rows, core.shape[1] + pad_cols)))
-
-
-def _spread(signs, names, idx: dict[str, int]) -> np.ndarray:
-    """A float vector holding signs[g] on every index of the group names[g]."""
-    return np.repeat(np.array(signs, dtype=np.float64), [idx[n] for n in names])
 
 
 def _perm_from_order(order) -> Permutation:
@@ -231,12 +226,16 @@ def _fit(b: np.ndarray, widths):
 # canonical coordinates: the padded E, the way back, the witness
 
 
+def _indices(form):
+    """(layout name, indices) of a rank-1 or rank-2 form."""
+    if isinstance(form, Rank1Form):
+        return "R1", {"k1": form.k1, "k2": form.k2}
+    return form.mtype, form.as_dict()
+
+
 def _canonical_of(form):
     """(layout name, indices, padded canonical E) of a rank-1 or rank-2 form."""
-    if isinstance(form, Rank1Form):
-        mtype, idx = "R1", {"k1": form.k1, "k2": form.k2}
-    else:
-        mtype, idx = form.mtype, form.as_dict()
+    mtype, idx = _indices(form)
     return mtype, idx, _pad(_core(mtype, idx), (form.row_perm.size, form.col_perm.size))
 
 
@@ -251,19 +250,64 @@ def _to_original(form, *mats):
     return [M.T for M in out] if isinstance(form, Rank2Form) and form.transposed else out
 
 
-def _report(form, values, rights, lefts, source: str) -> GramSingularReport:
-    """Singular values with canonical right and left vectors, the vectors
-    padded with zeros and mapped back to E's coordinates as _to_original
-    maps matrices."""
+def _report(form, values, right, left, source: str) -> GramSingularReport:
+    """Singular values with canonical right and left vectors (as columns),
+    the vectors padded with zeros and mapped back to E's coordinates as
+    _to_original maps matrices."""
     right, left = (
-        _pad(np.column_stack(vecs), (perm.size, len(vecs))).take(perm.image, 0)
-        for vecs, perm in ((rights, form.col_perm), (lefts, form.row_perm))
+        _pad(vecs, (perm.size, vecs.shape[1])).take(perm.image, 0)
+        for vecs, perm in ((right, form.col_perm), (left, form.row_perm))
     )
     if isinstance(form, Rank2Form) and form.transposed:
         right, left = left, right
     return GramSingularReport(
         values=tuple(values), right_vectors=right, left_vectors=left, source=source
     )
+
+
+def _gram_data(form, source: str) -> GramSingularReport:
+    """Singular values and vectors of E/2 for a rank-1 or rank-2 form, read
+    off its group matrix.
+
+    The canonical E repeats each entry of the group matrix G (row groups by
+    column groups) over a block of the two groups' sizes.  With D_r and D_c
+    the diagonal matrices of those sizes, E^T E = C G^T D_r G C^T for the
+    column-group indicator C, whose nonzero spectrum is that of the integer
+    matrix M = G^T D_r G D_c, as C^T C = D_c.  At rank r <= 2 the nonzero
+    eigenvalues of M are the roots of x^2 - t x + e2, with t = tr M and
+    e2 = (t^2 - tr M^2) / 2, which is 0 at rank 1.  Both are computed in
+    integers, so the rank is checked exactly, and each value is
+    sigma = sqrt(lambda) / 2.
+
+    The right vectors come from the top r eigenvectors z of the symmetric
+    D_c^1/2 G^T D_r G D_c^1/2: v spreads z_g / sqrt(|g|) over each column
+    group g, and its first entry above 1e-8 is made positive.  The left
+    vectors are u = (-E/2) v / sigma.  At a repeated value any orthonormal
+    basis of the eigenspace is valid, and eigh returns one.
+    """
+    mtype, idx = _indices(form)
+    rows, cols, _ = _LAYOUT[mtype]
+    rank = 1 if mtype == "R1" else 2
+    r = np.array([idx[n] for n in rows], dtype=np.int64)
+    c = np.array([idx[n] for n in cols], dtype=np.int64)
+    G = _GROUP_ROWS[mtype].astype(np.int64)
+    K = G.T @ (r[:, None] * G)
+    M = (K * c).astype(object)  # Python integers: tr M^2 may pass 2^63
+    t = M.trace()
+    e2 = (t * t - (M * M.T).sum()) // 2
+    if (e2 > 0) != (rank == 2):
+        raise RuntimeError(f"{mtype} {idx} group matrix does not have rank {rank}")
+    root = math.sqrt(t * t - 4 * e2)
+    values = [math.sqrt((t + root) / 2) / 2, math.sqrt((t - root) / 2) / 2][:rank]
+    w = np.sqrt(c)
+    z = np.linalg.eigh(w[:, None] * K * w)[1][:, : -rank - 1 : -1]
+    right = np.repeat(z, c, axis=0) / np.repeat(w, c)[:, None]
+    first = (np.abs(right) > 1e-8).argmax(axis=0)
+    signs = np.sign(right[first, np.arange(rank)])
+    right *= signs
+    # C^T v = D_c^1/2 z, so E v repeats G D_c^1/2 z over the row groups
+    left = np.repeat(G @ (w[:, None] * z * signs) / (-2 * np.array(values)), r, axis=0)
+    return _report(form, values, right, left, source)
 
 
 def _fill(E: np.ndarray, mtype: str, idx: dict[str, int], block) -> np.ndarray:
@@ -330,11 +374,7 @@ def rank1_complete(form: Rank1Form) -> BinaryMatrix:
 
 def rank1_gram_data(form: Rank1Form) -> GramSingularReport:
     """Closed-form Gram singular value sqrt(k1*k2) with its vector pair."""
-    rows, cols, (pat,) = _LAYOUT["R1"]
-    idx = {"k1": form.k1, "k2": form.k2}
-    v = _spread(pat, cols, idx) / math.sqrt(2 * form.k2)
-    u = _spread((-1, 1), rows, idx) / math.sqrt(2 * form.k1)  # (-E/2) v = sigma u
-    return _report(form, (math.sqrt(form.k1 * form.k2),), [v], [u], "closed_form_rank1")
+    return _gram_data(form, "closed_form_rank1")
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +582,6 @@ def reconstruct_E(form: Rank2Form) -> SignedMatrix:
 # rank 2: closed-form Gram singular data
 
 
-def _eig2(m11: Fraction, m12: Fraction, m21: Fraction, m22: Fraction):
-    """Eigenvalues (desc) and eigenvectors of a real 2x2 with real spectrum."""
-    tr = m11 + m22
-    disc = (m11 - m22) ** 2 + 4 * m12 * m21
-    if disc < 0:
-        raise RuntimeError("closed-form 2x2 matrix has complex eigenvalues")
-    root = math.sqrt(float(disc))
-    lams = [(float(tr) + root) / 2.0, (float(tr) - root) / 2.0]
-    vecs = []
-    for lam in lams:
-        cand1 = np.array([float(m12), lam - float(m11)])
-        cand2 = np.array([lam - float(m22), float(m21)])
-        v = cand1 if np.abs(cand1).max() >= np.abs(cand2).max() else cand2
-        if np.abs(v).max() < 1e-12:
-            v = np.array([1.0, 0.0]) if lam == lams[0] else np.array([0.0, 1.0])
-        vecs.append(v / np.linalg.norm(v))
-    return lams, vecs, float(disc)
-
-
 def rank2_gram_data(form: Rank2Form) -> GramSingularReport:
     """Closed-form singular values and vectors of E/2, from the form's indices.
 
@@ -573,44 +594,4 @@ def rank2_gram_data(form: Rank2Form) -> GramSingularReport:
     classifies as a realizable M5 form, with gram.convertibility on
     (A, A+E).)  The vectors satisfy (-E/2) v = sigma u.
     """
-    d = form.as_dict()
-    rows, cols, pats = _LAYOUT[form.mtype]
-    # the first two basis patterns over the columns; M5's third is x1 - x2
-    x1, x2 = (_spread(pat, cols, d) for pat in pats[:2])
-    gram = [[int(y @ z) for z in (x1, x2)] for y in (x1, x2)]
-    # (E/2)^T (E/2) is the sum over the basis patterns p of n p p^T / 4, n
-    # the number of rows carrying p or -p; on span(x1, x2) it acts as m
-    m = [[Fraction(0)] * 2 for _ in range(2)]
-    for t, coef in zip(range(len(pats)), ((1, 0), (0, 1), (1, -1))):
-        n = d[rows[2 * t]] + d[rows[2 * t + 1]]
-        for j in range(2):
-            dot = coef[0] * gram[0][j] + coef[1] * gram[1][j]  # p . x_j
-            for i in range(2):
-                m[i][j] += Fraction(n * coef[i] * dot, 4)
-
-    lams, zetas, disc = _eig2(*m[0], *m[1])
-    if any(lam <= 0 for lam in lams):
-        raise RuntimeError("closed-form eigenvalues must be positive for rank 2")
-    if disc == 0.0:
-        # repeated value: orthonormalize within the span
-        v1 = x1 / np.linalg.norm(x1)
-        v2 = x2 - (v1 @ x2) * v1
-        v2 = v2 / np.linalg.norm(v2)
-        rights = [v1, v2]
-    else:
-        rights = []
-        for z in zetas:
-            v = z[0] * x1 + z[1] * x2
-            rights.append(v / np.linalg.norm(v))
-
-    e_can = _core(form.mtype, d).astype(np.float64)
-    values, rv, lv = [], [], []
-    for lam, v in zip(lams, rights):
-        sigma = math.sqrt(lam)
-        nz = np.nonzero(np.abs(v) > 1e-8)[0]
-        if len(nz) and v[nz[0]] < 0:
-            v = -v
-        values.append(sigma)
-        rv.append(v)
-        lv.append((-0.5 * e_can) @ v / sigma)
-    return _report(form, values, rv, lv, "closed_form_rank2")
+    return _gram_data(form, "closed_form_rank2")

@@ -486,6 +486,42 @@ class TestCap:
         assert "Traceback" not in err and ("at least 0" in err) == (code == 2)
 
 
+@pytest.mark.parametrize("command, code", [
+    ("isomorphic", 0), ("fixable", 0), ("mates-of", 3), ("reconstruct", 0)])
+def test_tall_inputs_decide(capsys, tmp_path, command, code):
+    """Both searches go one level per row, and over a thousand rows still
+    decide: a 1,200 x 3 matrix and a row permutation of it, the rank-1 pair
+    [[0,1],[1,0]] and I2 over 1,098 zero rows, and a 1,200 x 1 column of
+    ones, whose only matrix with its Grams is itself."""
+    rng = np.random.default_rng(0)
+
+    def saved(name, a):
+        save_matrix(BinaryMatrix(a), tmp_path / name)
+        return str(tmp_path / name)
+
+    ones = np.ones((1200, 1), dtype=np.int64)
+    if command == "isomorphic":
+        a = rng.integers(0, 2, (1200, 3)).astype(np.int8)
+        argv = [saved("A.mtxt", a), saved("PA.mtxt", a[rng.permutation(1200)])]
+    elif command == "fixable":
+        a = np.zeros((1100, 2), dtype=np.int8)
+        b = a.copy()
+        a[:2], b[:2] = [[0, 1], [1, 0]], [[1, 0], [0, 1]]
+        argv = [saved("A.mtxt", a), saved("B.mtxt", b)]
+    elif command == "mates-of":
+        argv = [saved("J.mtxt", ones)]
+    else:
+        argv = ["--grow", TestReconstruct._gram(tmp_path, "gr.mtxt", ones @ ones.T),
+                "--gcol", TestReconstruct._gram(tmp_path, "gc.mtxt", ones.T @ ones)]
+    assert run([command, *argv]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "isomorphic":  # the witness lines P and Q follow
+        out = out.split("P: ")[0]
+    assert out == {"isomorphic": "isomorphic\n", "fixable": "fixable\n", "mates-of": "mates: 0\n",
+                   "reconstruct": "1200 1\n" + "1\n" * 1200}[command]
+
+
 # ---------------------------------------------------------------------------
 # contract fuzz: any .mtxt text and any argv exit in {0, 2, 3, 4}, never raise
 

@@ -17,6 +17,7 @@ from grammate.rank_forms import (
     M_INDEX_NAMES,
     FormMatchError,
     NotRealizableError,
+    Rank1Form,
     Rank2Form,
     canonical_rank1_E,
     canonical_rank2_E,
@@ -28,6 +29,8 @@ from grammate.rank_forms import (
     rank2_gram_data,
     rank2_realizable,
     reconstruct_E,
+    _core,
+    _ZERO_SUMS,
 )
 
 
@@ -54,6 +57,44 @@ ZERO_SUM_FORMS = {
     "M4": dict(k=1, l=2, a=1, b=0, c=0, d=1, e=1, f=1, g=1, h=1),
     "M5": dict(k=2, l=1, p=0, q=1, r=1, s=2, a=2, b=1, c=0, d=1, e=1, f=2),
 }
+
+
+def _assert_gram_data(E, rep):
+    """rep holds the top singular values of E/2 (to 1e-12 of numpy's SVD) with
+    orthonormal vector columns, (-E/2) v = sigma u and (-E/2)^T u = sigma v."""
+    half = E.int64() * -0.5
+    s = np.array(rep.values)
+    assert np.abs(s - np.linalg.svd(half, compute_uv=False)[: len(s)]).max() < 1e-12
+    U, V = rep.left_vectors, rep.right_vectors
+    assert np.abs(half @ V - U * s).max() < 1e-9
+    assert np.abs(half.T @ U - V * s).max() < 1e-9
+    for W in (U, V):
+        assert np.abs(W.T @ W - np.eye(len(s))).max() < 1e-12
+
+
+def _gram_sweep():
+    """(E, form) for the canonical E of every zero-sum index tuple that
+    classifies as a rank-2 form, with M1 and M2 indices at most 3 and M3-M5
+    indices at most 2: 2,630 forms, 191 of them with a repeated value."""
+    out = []
+    for mtype, names in M_INDEX_NAMES.items():
+        top = 3 if mtype in ("M1", "M2") else 2
+        grid = np.indices((top + 1,) * len(names)).reshape(len(names), -1).T
+        sums = np.array([[dict(rel).get(n, 0) for n in names] for rel in _ZERO_SUMS[mtype]],
+                        dtype=np.int64).reshape(-1, len(names))
+        for vals in grid[~(grid @ sums.T).any(axis=1)]:
+            idx = dict(zip(names, vals.tolist()))
+            core = _core(mtype, idx)
+            if not core.any():
+                continue
+            E = SignedMatrix(core)
+            try:
+                form = classify_rank2(E)
+            except FormMatchError:
+                continue
+            if form is not None:
+                out.append((E, form))
+    return out
 
 
 class TestClassifyRank1:
@@ -160,6 +201,17 @@ class TestRank1GramData:
         sv = svd(e.int64() * 0.5).sigma
         assert abs(rep.values[0] - np.sqrt(6)) < 1e-12
         assert abs(rep.values[0] - sv[0]) < 1e-9
+        for k1, k2 in itertools.product(range(1, 7), repeat=2):
+            e = canonical_rank1_E(k1, k2, 1, 2)
+            _assert_gram_data(e, rank1_gram_data(classify_rank1(e)))
+
+    def test_indices_past_int64_squares(self):
+        # tr M^2 = 2 (2 k1 k2)^2 passes 2^63 here; E itself is never built
+        k = 200_000
+        ident = Permutation(tuple(range(2 * k)))
+        rep = rank1_gram_data(Rank1Form(k, k, ident, ident))
+        assert rep.values == (float(k),)
+        assert abs(rep.right_vectors[0, 0] - 1 / np.sqrt(2 * k)) < 1e-15
 
 
 class TestClassifyRank2:
@@ -475,6 +527,14 @@ class TestRank2GramData:
             rep = rank2_gram_data(f)
             sv = svd(canonical_rank2_E(mtype, idx).int64() * 0.5).sigma[:2]
             assert np.abs(np.array(rep.values) - sv).max() < 1e-9, (mtype, idx)
+        forms = _gram_sweep()
+        assert len(forms) == 2630
+        repeated = 0
+        for E, f in forms:
+            rep = rank2_gram_data(f)
+            _assert_gram_data(E, rep)
+            repeated += abs(rep.values[0] - rep.values[1]) < 1e-9
+        assert repeated == 191
 
     def test_m2_closed_form_describes_the_completed_pair(self):
         f = form_of("M2", k=1, l=1, e=1, f=1, g=1, h=1)
