@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import combinators, gale_ryser, iso, numerics, oracle
+from . import combinators, gale_ryser, iso, oracle
 from .gram import is_gram_pair, convertibility
 from .matrix_core import (
     BinaryMatrix,
@@ -359,7 +359,8 @@ def cmd_reconstruct(args) -> int:
     Gr = _load_gram(args.grow)
     Gc = _load_gram(args.gcol)
     try:
-        found = numerics.reconstruct_from_grams(Gr, Gc)
+        # the cap is read per call, so a patched module constant takes effect
+        found = gale_ryser.matrices_with_grams(Gr, Gc, gale_ryser.DEFAULT_MATE_NODE_CAP)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if not found:

@@ -1,17 +1,16 @@
 """
 Closure operations on Gram pairs: complement, direct sum, join, Kronecker
-products, and the two-block swap.  Every output is verified exactly before
-it leaves this module: pairs through is_gram_pair, Kronecker blow-ups of a
-difference matrix through is_realizable_witness.  A combinator never hands
-back an unchecked result.
+products, and the two-block swap.  Every output pair is verified exactly
+through is_gram_pair before it leaves this module, so a combinator never
+hands back an unchecked result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gram import GramPair, is_gram_pair, is_realizable_witness
-from .matrix_core import BinaryMatrix, SignedMatrix
+from .gram import GramPair, is_gram_pair
+from .matrix_core import BinaryMatrix
 
 
 def _verified(a: np.ndarray, b: np.ndarray) -> GramPair:
@@ -68,31 +67,6 @@ def kron_swap(p: GramPair) -> GramPair:
     if (a == b).all():
         raise ValueError("A (x) B equals B (x) A; no pair")
     return _verified(a, b)
-
-
-def kron_realizable(X: BinaryMatrix, E: SignedMatrix, witness: BinaryMatrix, swap: bool = False):
-    """Realizable Kronecker blow-up of E with its witness carried along.
-
-    Returns (X (x) E, X (x) witness); with swap=True the factors trade
-    places in both outputs.  The returned pair of (difference, witness) is
-    verified: (X (x) witness, X (x) witness + X (x) E) is a Gram pair.
-    """
-    x = X.int64()
-    if not x.any():
-        raise ValueError("X must be nonzero")
-    if not is_realizable_witness(E, witness):
-        raise ValueError("witness does not realize E")
-    if swap:
-        e_big = np.kron(E.int64(), x)
-        a_big = np.kron(witness.int64(), x)
-    else:
-        e_big = np.kron(x, E.int64())
-        a_big = np.kron(x, witness.int64())
-    big_E = SignedMatrix(e_big.astype(np.int8))
-    big_A = BinaryMatrix(a_big.astype(np.int8))
-    if not is_realizable_witness(big_E, big_A):
-        raise RuntimeError("Kronecker blow-up failed Gram verification")
-    return big_E, big_A
 
 
 def block_swap_pair(A1: BinaryMatrix, A2: BinaryMatrix) -> GramPair:

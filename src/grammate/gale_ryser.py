@@ -1,7 +1,8 @@
 """
 Degree-sequence machinery for (0,1) matrices: conjugate vectors, majorization,
 the Gale-Ryser existence test, a deterministic Ryser-style construction for
-U(R,S), the exact search for every matrix with two given Gram matrices, and
+U(R,S), the exact search for every matrix with two given Gram matrices (the
+one checked entry point of `reconstruct` and `mates-of`), and
 signed_profile_block, which decides and builds the blocks of rank-2 M5
 witnesses as U(R,S) members.
 
@@ -118,9 +119,27 @@ def _unflagged(flags: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("fjk,jk->fk", w, x) == 0
 
 
+def _int_gram(G) -> np.ndarray:
+    """G as an int64 array; ValueError unless every entry is a finite
+    integer, checked before any cast could truncate it."""
+    g = np.asarray(G)
+    if g.dtype.kind in "bi":
+        return g.astype(np.int64)
+    f = g.astype(np.float64)
+    with np.errstate(invalid="ignore"):
+        out = f.astype(np.int64)
+    # NaN, infinities, fractions and values beyond int64 do not survive the cast
+    if not (out == f).all():
+        raise ValueError("Gram entries must be integers")
+    return out
+
+
 def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
     """Every (0,1) matrix B with BB^T = G_row and B^TB = G_col, ascending by
     flattened entries, by a row-by-row frontier search.
+
+    ValueError unless both Grams are integral (no cast truncates 1.5 to 1),
+    2-D, square and symmetric.
 
     Row i is drawn from the K rows with sum G_row[i, i], and a chunk of F
     partial matrices P is expanded by all of them in one numpy step.  A
@@ -144,7 +163,11 @@ def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
     Grams that no matrix has at the root cost no node: a row sum below 0
     or above n, unequal traces, or a G_col outside the residual bounds.
     """
-    gr, gc = np.asarray(G_row, dtype=np.int64), np.asarray(G_col, dtype=np.int64)
+    gr, gc = _int_gram(G_row), _int_gram(G_col)
+    if any(g.ndim != 2 or g.shape[0] != g.shape[1] for g in (gr, gc)):
+        raise ValueError("Gram matrices must be 2-D and square")
+    if (gr != gr.T).any() or (gc != gc.T).any():
+        raise ValueError("Gram matrices must be symmetric")
     m, n = len(gr), len(gc)
     rs, cs = np.diagonal(gr), np.diagonal(gc)
     if ((rs < 0) | (rs > n)).any() or rs.sum() != cs.sum() \

@@ -6,7 +6,9 @@ A^T A = B^T B, verified in exact integer arithmetic.  Convertibility (B
 arises from A by flipping signs of positive singular values) is decided by
 seven equivalent conditions, all decided exactly in integers; the three
 singular-vector ones are read through exact bases of the difference's row
-and column spaces, so no condition reads a tolerance.
+and column spaces, so no condition reads a tolerance.  A convertible pair's
+Gram singular data is reported from LAPACK's SVD of (A-B)/2 through numpy;
+with BLAS on one thread identical inputs give bitwise-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
 from .matrix_core import (
     BinaryMatrix,
     SignedMatrix,
@@ -106,17 +107,6 @@ def is_realizable_witness(E: SignedMatrix, A: BinaryMatrix) -> bool:
     return bool(E.data.any()) and _same_grams(A.data, b)
 
 
-def embed_check(E_tilde: SignedMatrix, X1, X2) -> bool:
-    """Border conditions for extending mates of E-tilde to the padded E:
-    E-tilde X2^T = 0 and E-tilde^T X1 = 0."""
-    e = E_tilde.int64()
-    x1 = X1.int64()
-    x2 = X2.int64()
-    if x1.shape[0] != e.shape[0] or x2.shape[1] != e.shape[1]:
-        raise ValueError("dimension mismatch")
-    return not (e @ x2.T).any() and not (e.T @ x1).any()
-
-
 def convertibility(pair: GramPair, tol: None = None) -> ConvertibilityReport:
     """Decide the seven equivalent convertibility conditions, each exactly.
 
@@ -154,15 +144,15 @@ def convertibility(pair: GramPair, tol: None = None) -> ConvertibilityReport:
         raise RuntimeError(f"convertibility checks disagree: {checks}")
     if not checks["sum_times_diffT_zero"]:
         return ConvertibilityReport(convertible=False, checks=checks, gram_singular=None)
-    bundle = numerics.svd(d / 2.0)
+    U, sigma, Vt = np.linalg.svd(d / 2.0)
     k = len(rows)
     return ConvertibilityReport(
         convertible=True,
         checks=checks,
         gram_singular=GramSingularReport(
-            values=tuple(float(x) for x in bundle.sigma[:k]),
-            right_vectors=bundle.V[:, :k].copy(),
-            left_vectors=bundle.U[:, :k].copy(),
+            values=tuple(float(x) for x in sigma[:k]),
+            right_vectors=Vt[:k].T.copy(),
+            left_vectors=U[:, :k].copy(),
             source="numeric",
         ),
     )

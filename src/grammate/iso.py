@@ -1,7 +1,10 @@
 """
 Isomorphism of Gram pairs (B = PAQ), the remaining-matrix context of a
 rank-1 pair, the fixability predicate, and isomorphism of mates whose
-singular values are all distinct.
+singular values are all distinct.  The last has the precondition
+distinct_singular_values, the one float predicate in the library that
+decides anything: LAPACK's singular values through numpy, separated by the
+relative gap _REL_TOL.
 
 All three questions are one search: a complete backtracking over row maps
 in which rows and columns may carry colours that P and Q must preserve.
@@ -30,10 +33,10 @@ import numpy as np
 
 from .gram import GramPair
 from .matrix_core import BinaryMatrix, Permutation, apply_perms, rank_exact
-from .numerics import distinct_singular_values
 from .rank_forms import classify_rank1
 
 DEFAULT_NODE_CAP = 10**7
+_REL_TOL = 1e-8  # least relative gap between distinct singular values
 
 UNDECIDED = "undecided (cap)"
 NON_ISOMORPHIC = "non-isomorphic"
@@ -317,6 +320,13 @@ def are_isomorphic(A: BinaryMatrix, B: BinaryMatrix, node_cap: int = DEFAULT_NOD
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
     return _search(A.int64(), B.int64(), node_cap)
+
+
+def distinct_singular_values(a: np.ndarray) -> bool:
+    """True iff consecutive sorted singular values of the array a are well
+    separated, by LAPACK's SVD through numpy, values only."""
+    sigma = np.linalg.svd(a.astype(np.float64), compute_uv=False)
+    return bool((sigma[:-1] - sigma[1:] > _REL_TOL * np.maximum(1.0, sigma[:-1])).all())
 
 
 def iso_distinct_sv(pair: GramPair, node_cap: int = DEFAULT_NODE_CAP):

@@ -358,7 +358,8 @@ class TestEnumerate:
         assert data["pairs"][0]["A"] == [[0, 1], [1, 0]]
 
     def test_cap(self, capsys):
-        assert run(["enumerate", "5", "6"]) == 4
+        for m, n in [("5", "6"), ("5", "5"), ("25", "1")]:
+            assert run(["enumerate", m, n]) == 4
 
     @pytest.mark.parametrize("m,n", [("0", "3"), ("3", "-1"), ("-2", "-2")])
     def test_nonpositive_dimensions_are_usage_errors(self, capsys, m, n):

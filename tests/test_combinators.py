@@ -7,12 +7,10 @@ from grammate.combinators import (
     direct_sum_pair,
     join_pair,
     kron_pair,
-    kron_realizable,
     kron_swap,
 )
 from grammate.gram import convertibility, is_gram_pair
-from grammate.matrix_core import BinaryMatrix, SignedMatrix, rank_exact
-from grammate.numerics import svd
+from grammate.matrix_core import BinaryMatrix
 from grammate.rank_forms import classify_rank2
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
@@ -78,40 +76,6 @@ class TestKron:
         assert kron_swap(paper_pair(rank1_example)).A.shape == (49, 49)
 
 
-class TestKronRealizable:
-    def test_scalar_x_is_identity(self, rank1_example):
-        A, _, E = rank1_example
-        big_E, big_A = kron_realizable(BinaryMatrix(np.array([[1]], dtype=np.int8)), E, A)
-        assert big_E == E and big_A == A
-
-    def test_row_of_ones(self, rank1_example):
-        A, _, E = rank1_example
-        x = BinaryMatrix(np.ones((1, 2), dtype=np.int8))
-        big_E, big_A = kron_realizable(x, E, A)
-        assert big_E.shape == (7, 14)
-        big_E2, _ = kron_realizable(x, E, A, swap=True)
-        assert big_E2.shape == (7, 14)
-        assert big_E != big_E2
-
-    def test_rank_multiplies(self, rank1_example):
-        A, _, E = rank1_example
-        x = BinaryMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8))
-        big_E, _ = kron_realizable(x, E, A)
-        assert rank_exact(big_E) == 2 * rank_exact(E)
-
-    def test_zero_x_rejected(self, rank1_example):
-        A, _, E = rank1_example
-        with pytest.raises(ValueError):
-            kron_realizable(BinaryMatrix.zeros(1, 1), E, A)
-
-    def test_bad_witness_rejected(self, rank1_example):
-        A, _, E = rank1_example
-        bad = A.int64().copy()
-        bad[0, 5] ^= 1  # breaks a border column sum
-        with pytest.raises(ValueError):
-            kron_realizable(I2, E, BinaryMatrix(bad.astype(np.int8)))
-
-
 class TestBlockSwap:
     def test_smallest(self):
         p = block_swap_pair(BinaryMatrix.zeros(1, 1), BinaryMatrix(np.array([[1]], dtype=np.int8)))
@@ -140,7 +104,7 @@ class TestBlockSwap:
             rep = convertibility(p)
             assert rep.convertible
             d = a1.int64() - a2.int64()
-            sv = sorted(x for x in svd(d).sigma if x > 1e-9)
+            sv = sorted(x for x in np.linalg.svd(d, compute_uv=False) if x > 1e-9)
             assert np.allclose(sorted(rep.gram_singular.values), sv, atol=1e-8)
             done += 1
 

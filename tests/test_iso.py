@@ -12,16 +12,17 @@ from grammate.gram import GramPair, is_gram_pair
 from grammate.iso import (
     NON_ISOMORPHIC,
     UNDECIDED,
+    _REL_TOL,
     IsoWitness,
     RemainingContext,
     are_isomorphic,
+    distinct_singular_values,
     is_fixable,
     iso_distinct_sv,
     remaining_context,
     sum_separation,
 )
 from grammate.matrix_core import BinaryMatrix, Permutation
-from grammate.numerics import distinct_singular_values
 from grammate.rank_forms import canonical_rank1_E
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
@@ -126,6 +127,30 @@ class TestAreIsomorphic:
         assert are_isomorphic(p.A, p.B, node_cap=1) == UNDECIDED
 
 
+def _full_svd_distinct(a) -> bool:
+    """The predicate read off a full SVD, U and V computed and dropped."""
+    sigma = np.linalg.svd(a.astype(np.float64), full_matrices=True)[1]
+    return bool((sigma[:-1] - sigma[1:] > _REL_TOL * np.maximum(1.0, sigma[:-1])).all())
+
+
+class TestDistinctSingularValues:
+    def test_identity_not_distinct(self):
+        assert not distinct_singular_values(np.eye(2, dtype=np.int64))
+
+    def test_distinct(self):
+        assert distinct_singular_values(np.array([[1, 1], [0, 1]]))
+
+    def test_values_only_svd_decides_as_the_full_one(self):
+        shapes = [(m, n) for m in range(2, 5) for n in range(2, 5)] + [(2, 5), (5, 2)]
+        mats = [np.array(bits).reshape(m, n)
+                for m, n in shapes for bits in itertools.product((0, 1), repeat=m * n)]
+        rng = np.random.default_rng(22)
+        mats += [rng.integers(0, 2, (n, n)) for n in rng.integers(4, 11, 4000)]
+        got = [distinct_singular_values(a) for a in mats]
+        assert got == [_full_svd_distinct(a) for a in mats]
+        assert 0 < sum(got) < len(mats)  # both answers occur
+
+
 class TestIsoDistinctSv:
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -144,7 +169,7 @@ class TestIsoDistinctSv:
             A = BinaryMatrix(a.astype(np.int8))
             B = BinaryMatrix(b.astype(np.int8))
             p = is_gram_pair(A, B)
-            if p is None or p.diff_rank != 1 or not distinct_singular_values(A):
+            if p is None or p.diff_rank != 1 or not distinct_singular_values(a):
                 continue
             verdict = iso_distinct_sv(p)
             fixable = is_fixable(remaining_context(p))

@@ -117,8 +117,10 @@ class TestEnumerateGramPairs:
             assert tuple(p.A.int64().sum(axis=1)) == (1, 1)
 
     def test_cap(self):
-        with pytest.raises(OracleCapError):
-            enumerate_gram_pairs(5, 6)
+        # 2^(mn) Gram keys are kept: 25 cells would need about 11 GB of them
+        for m, n in [(5, 6), (5, 5), (25, 1)]:
+            with pytest.raises(OracleCapError):
+                enumerate_gram_pairs(m, n)
 
     @pytest.mark.parametrize("m,n", SMALL_SHAPES)
     def test_matches_numpy_reference(self, m, n):
