@@ -4,6 +4,11 @@ Every subcommand reads matrices in the .mtxt text format and reports either
 plain text or (where it makes sense) JSON with a "schema": 1 field.  Exit
 codes: 0 affirmative, 3 negative verdict, 2 usage or input error, 4 a search
 hit its cap and the question is undecided.
+
+run() alone maps failures to exit codes: a ValueError (a library input
+check, a malformed or non-UTF-8 file) or an OSError (a path the OS refuses)
+exits 2 with one "error:" line on stderr, and an OracleCapError exits 4.  A
+RuntimeError is a failed internal check and propagates.
 """
 
 from __future__ import annotations
@@ -16,10 +21,9 @@ import sys
 import numpy as np
 
 from . import combinators, gale_ryser, iso, oracle
-from .gram import is_gram_pair, convertibility
+from .gram import GramPair, is_gram_pair, convertibility
 from .matrix_core import (
     BinaryMatrix,
-    MatrixFormatError,
     _in_range,
     _parse_entries,
     load_matrix,
@@ -44,8 +48,8 @@ EXIT_NO = 3
 EXIT_UNDECIDED = 4
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """An input the library accepts but the command does not."""
 
 
 def _fmt(x: float) -> str:
@@ -60,10 +64,14 @@ def _load_binary(path) -> BinaryMatrix:
 
 
 def _load_pair(args) -> tuple[BinaryMatrix, BinaryMatrix]:
-    A, B = _load_binary(args.A), _load_binary(args.B)
-    if A.shape != B.shape:
-        raise UsageError("dimension mismatch")
-    return A, B
+    return _load_binary(args.A), _load_binary(args.B)
+
+
+def _load_mates(args) -> GramPair:
+    pair = is_gram_pair(*_load_pair(args))
+    if pair is None:
+        raise UsageError("not Gram mates")
+    return pair
 
 
 def _load_gram(path) -> np.ndarray:
@@ -111,10 +119,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convertible(args) -> int:
-    pair = is_gram_pair(*_load_pair(args))
-    if pair is None:
-        raise UsageError("not Gram mates")
-    rep = convertibility(pair)
+    rep = convertibility(_load_mates(args))
     values = [] if rep.gram_singular is None else list(rep.gram_singular.values)
     if args.json:
         _emit_json({"command": "convertible", "convertible": rep.convertible,
@@ -178,7 +183,7 @@ def cmd_complete(args) -> int:
         return EXIT_NO
     try:
         A = rank1_complete(form) if r == 1 else rank2_complete(form)
-    except NotRealizableError:
+    except NotRealizableError:  # a ValueError that means "no", not bad input
         print("not realizable")
         return EXIT_NO
     if args.out:
@@ -230,7 +235,7 @@ def cmd_urs(args) -> int:
         raise UsageError("row and column sums must be non-negative")
     try:
         M = gale_ryser.construct_urs(R, S)
-    except gale_ryser.InfeasibleError:
+    except gale_ryser.InfeasibleError:  # a ValueError that means "no"
         print("infeasible")
         return EXIT_NO
     sys.stdout.write(serialize_matrix(M))
@@ -248,26 +253,23 @@ def cmd_construct(args) -> int:
     if len(mats) != _CONSTRUCT_ARITY[args.op]:
         raise UsageError(
             f"--op {args.op} takes {_CONSTRUCT_ARITY[args.op]} input files")
-    try:
-        if args.op == "block-swap":
-            pair = combinators.block_swap_pair(mats[0], mats[1])
+    if args.op == "block-swap":
+        pair = combinators.block_swap_pair(mats[0], mats[1])
+    else:
+        p1 = is_gram_pair(mats[0], mats[1])
+        if p1 is None:
+            raise UsageError("first input pair is not Gram mates")
+        if args.op == "complement":
+            pair = combinators.complement_pair(p1)
+        elif args.op == "kron-swap":
+            pair = combinators.kron_swap(p1)
         else:
-            p1 = is_gram_pair(mats[0], mats[1])
-            if p1 is None:
-                raise UsageError("first input pair is not Gram mates")
-            if args.op == "complement":
-                pair = combinators.complement_pair(p1)
-            elif args.op == "kron-swap":
-                pair = combinators.kron_swap(p1)
-            else:
-                p2 = is_gram_pair(mats[2], mats[3])
-                if p2 is None:
-                    raise UsageError("second input pair is not Gram mates")
-                pair = {"dirsum": combinators.direct_sum_pair,
-                        "join": combinators.join_pair,
-                        "kron": combinators.kron_pair}[args.op](p1, p2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            p2 = is_gram_pair(mats[2], mats[3])
+            if p2 is None:
+                raise UsageError("second input pair is not Gram mates")
+            pair = {"dirsum": combinators.direct_sum_pair,
+                    "join": combinators.join_pair,
+                    "kron": combinators.kron_pair}[args.op](p1, p2)
     if args.out_prefix:
         save_matrix(pair.A, args.out_prefix + "_A.mtxt")
         save_matrix(pair.B, args.out_prefix + "_B.mtxt")
@@ -285,17 +287,10 @@ def _report_witness(w: iso.IsoWitness) -> None:
 
 
 def cmd_isomorphic(args) -> int:
-    A, B = _load_pair(args)
     if args.distinct_sv:
-        pair = is_gram_pair(A, B)
-        if pair is None:
-            raise UsageError("not Gram mates")
-        try:
-            verdict = iso.iso_distinct_sv(pair, node_cap=args.cap)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        verdict = iso.iso_distinct_sv(_load_mates(args), node_cap=args.cap)
     else:
-        verdict = iso.are_isomorphic(A, B, node_cap=args.cap)
+        verdict = iso.are_isomorphic(*_load_pair(args), node_cap=args.cap)
     if isinstance(verdict, iso.IsoWitness):
         _report_witness(verdict)
         return EXIT_OK
@@ -307,14 +302,7 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_fixable(args) -> int:
-    pair = is_gram_pair(*_load_pair(args))
-    if pair is None:
-        raise UsageError("not Gram mates")
-    try:
-        ctx = iso.remaining_context(pair)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    verdict = iso.is_fixable(ctx, node_cap=args.cap)
+    verdict = iso.is_fixable(iso.remaining_context(_load_mates(args)), node_cap=args.cap)
     if verdict is True:
         print("fixable")
         return EXIT_OK
@@ -326,8 +314,6 @@ def cmd_fixable(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.M < 1 or args.N < 1:
-        raise UsageError("dimensions must be positive")
     pairs = oracle.enumerate_gram_pairs(
         args.M, args.N,
         row_sums_filter=_int_list(args.rowsums) if args.rowsums else None,
@@ -358,11 +344,8 @@ def cmd_mates_of(args) -> int:
 def cmd_reconstruct(args) -> int:
     Gr = _load_gram(args.grow)
     Gc = _load_gram(args.gcol)
-    try:
-        # the cap is read per call, so a patched module constant takes effect
-        found = gale_ryser.matrices_with_grams(Gr, Gc, gale_ryser.DEFAULT_MATE_NODE_CAP)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # the cap is read per call, so a patched module constant takes effect
+    found = gale_ryser.matrices_with_grams(Gr, Gc, gale_ryser.DEFAULT_MATE_NODE_CAP)
     if not found:
         print("none")
         return EXIT_NO
@@ -465,7 +448,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (UsageError, MatrixFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except oracle.OracleCapError as exc:  # enumerate, mates-of and reconstruct

@@ -6,10 +6,20 @@ Entries may be given as bool, integer or float arrays or nested lists.
 Each entry is range-checked as given, before any cast: it must be an integer
 in the matrix's alphabet.  int8 input is checked bytewise, one byte per
 entry; every other dtype is checked with min/max (and integrality for
-floats).  Entries are then stored as int8 numpy arrays.  All
-products and Gram matrices are accumulated in int64, so every algebraic
-identity checked elsewhere in the package is exact.  Matrices are immutable
-values.
+floats).  Entries are then stored as int8 numpy arrays.  Matrices are
+immutable values.
+
+Every product the package decides with is exact, though not all are taken
+in int64.  The Gram identities (gram._same_grams) and the searches' leaf
+checks are int64 products; rank_exact runs in int64 while its minors fit
+and in Python integers after.  Two searches use narrower types where a
+bound makes them exact: gale_ryser.matrices_with_grams takes its candidate
+products and residual prune in float32 BLAS, as a product of two (0,1)
+rows is an integer of at most n, exact in float32 while n < 2^24, and a
+float sum of non-negative integers is zero exactly when every term is;
+oracle.enumerate_gram_pairs takes its Gram keys by an int8 einsum, as an
+entry is at most max(m, n) <= 20 under its cell cap.  What either search
+returns has passed the int64 identities.
 """
 
 from __future__ import annotations

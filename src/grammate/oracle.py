@@ -135,14 +135,20 @@ def _violation(tag: str, *mats: BinaryMatrix) -> TheoremViolation:
     return TheoremViolation(f"{tag}\n{blobs}")
 
 
+_SCOPES = ("rank-classification", "convertibility", "identity-mates", "all")
+
+
 def validate_theorems(scope: str = "all") -> EnumerationReport:
     """Replay the library's structural invariants over enumerated corpora.
 
     Scopes: "rank-classification" (every enumerated pair with diff rank one
     or two classifies), "convertibility" (the seven-condition report runs
     without internal disagreement), "identity-mates" (mates of I4 are the 23
-    non-identity permutations, 9 of them convertible), or "all".
+    non-identity permutations, 9 of them convertible), or "all".  Any other
+    scope is a ValueError, so a misspelt one cannot pass by checking nothing.
     """
+    if scope not in _SCOPES:
+        raise ValueError(f"unknown scope {scope!r}; expected one of {', '.join(_SCOPES)}")
     t0 = time.perf_counter()
     run_all = scope == "all"
     tags: dict[str, int] = {}

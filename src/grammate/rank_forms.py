@@ -330,6 +330,23 @@ def _fill(E: np.ndarray, mtype: str, idx: dict[str, int], block) -> np.ndarray:
     return A
 
 
+def _complete(form) -> BinaryMatrix:
+    """The verified witness of a realizable rank-1 or rank-2 form.
+
+    The rank-1 pattern has no zero cells, so _fill places no block there.
+    """
+    mtype, d, E = _canonical_of(form)
+    A = _complete_m5(E, d) if mtype == "M5" else _fill(E, mtype, d, _half_strip)
+    if A is None:
+        raise RuntimeError(f"no block profile completes the realizable form M5 {d}")
+    A, E = _to_original(form, A, E)
+    A, E = BinaryMatrix(A), SignedMatrix(E)
+    # never emit an unverified witness, also under python -O
+    if not is_realizable_witness(E, A):
+        raise RuntimeError(f"completion of {mtype} {d} failed Gram verification")
+    return A
+
+
 # ---------------------------------------------------------------------------
 # rank 1
 
@@ -367,9 +384,7 @@ def classify_rank1(E: SignedMatrix):
 
 def rank1_complete(form: Rank1Form) -> BinaryMatrix:
     """Witness A with zero borders, in E's original coordinates."""
-    mtype, idx, E = _canonical_of(form)
-    (A,) = _to_original(form, _fill(E, mtype, idx, None))
-    return BinaryMatrix(A)
+    return _complete(form)
 
 
 def rank1_gram_data(form: Rank1Form) -> GramSingularReport:
@@ -560,16 +575,7 @@ def rank2_complete(form: Rank2Form) -> BinaryMatrix:
     """A witness A (original coordinates) such that (A, A+E) is a Gram pair."""
     if not rank2_realizable(form):
         raise NotRealizableError(f"form {form.mtype} {form.as_dict()} is not realizable")
-    mtype, d, E = _canonical_of(form)
-    A = _complete_m5(E, d) if mtype == "M5" else _fill(E, mtype, d, _half_strip)
-    if A is None:
-        raise RuntimeError(f"no block profile completes the realizable form M5 {d}")
-    A, E = _to_original(form, A, E)
-    A, E = BinaryMatrix(A), SignedMatrix(E)
-    # never emit an unverified witness, also under python -O
-    if not is_realizable_witness(E, A):
-        raise RuntimeError(f"completion of {mtype} {d} failed Gram verification")
-    return A
+    return _complete(form)
 
 
 def reconstruct_E(form: Rank2Form) -> SignedMatrix:

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from grammate import rank_forms
 from grammate.matrix_core import load_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -19,6 +20,24 @@ def rank1_example():
         fixture_matrix("ex_rank1_B.mtxt"),
         fixture_matrix("ex_rank1_E.mtxt"),
     )
+
+
+@pytest.fixture
+def unverified_fill(monkeypatch):
+    """rank_forms._fill puts a one on cell (0, -1) of every witness it builds.
+
+    In canonical coordinates that cell joins a live row of E to a zero
+    column, when E has one: A + E stays (0,1) but A^T A = B^T B breaks, so
+    only the completion's own Gram check can catch it.
+    """
+    fill = rank_forms._fill
+
+    def wrong(*args):
+        A = fill(*args)
+        A[0, -1] = 1
+        return A
+
+    monkeypatch.setattr(rank_forms, "_fill", wrong)
 
 
 @pytest.fixture

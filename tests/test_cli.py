@@ -117,6 +117,12 @@ class TestClassify:
     def test_rank1(self, capsys):
         assert cli(capsys, "classify", E7) == (0, "rank 1, k1=2 k2=2, realizable\n")
 
+    def test_rank1_json(self, capsys):
+        code, out = cli(capsys, "classify", "--json", E7)
+        assert code == 0
+        assert json.loads(out) == {"schema": 1, "command": "classify", "rank": 1,
+                                   "indices": {"k1": 2, "k2": 2}, "realizable": True}
+
     def test_rank2(self, capsys, tmp_path):
         E = canonical_rank2_E("M4", dict(k=1, l=1, a=1, b=0, c=1, d=2, e=2, f=0, g=1, h=1))
         p = tmp_path / "E.mtxt"
@@ -154,6 +160,11 @@ class TestComplete:
             "0 0 0 0 0 0 0\n"
             "0 0 0 0 0 0 0\n"
         )
+
+    def test_failed_internal_check_propagates(self, unverified_fill):
+        # a RuntimeError is a library bug, not an input error: no exit code
+        with pytest.raises(RuntimeError, match="failed Gram verification"):
+            run(["complete", E7])
 
     def test_out_file_verifies(self, capsys, tmp_path):
         dest = tmp_path / "A.mtxt"
@@ -293,6 +304,18 @@ class TestConstruct:
             assert run(["verify", prefix + "_A.mtxt", prefix + "_B.mtxt"]) == 0
         capsys.readouterr()
 
+    def test_kron_swap(self, capsys, x2, i2):
+        code, out = cli(capsys, "construct", "--op", "kron-swap", x2, i2)
+        assert code == 0
+        assert out == ("4 4\n0 0 1 0\n0 0 0 1\n1 0 0 0\n0 1 0 0\n\n"
+                       "4 4\n0 1 0 0\n1 0 0 0\n0 0 0 1\n0 0 1 0\n")
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_input_pair_not_mates(self, capsys, x2, i2, which):
+        files = [i2, i2, x2, i2] if which == "first" else [x2, i2, i2, i2]
+        assert run(["construct", "--op", "dirsum", *files]) == 2
+        assert capsys.readouterr() == ("", f"error: {which} input pair is not Gram mates\n")
+
     def test_equal_blocks_usage_error(self, i2):
         assert run(["construct", "--op", "block-swap", i2, i2]) == 2
 
@@ -335,6 +358,14 @@ class TestFixable:
 
     def test_not_mates(self, i2):
         assert run(["fixable", i2, i2]) == 2
+
+    def test_rank2_pair_is_usage_error(self, capsys, tmp_path):
+        # I3 and the 3-cycle are mates whose difference has rank 2
+        i3, p3 = tmp_path / "I3.mtxt", tmp_path / "P3.mtxt"
+        save_matrix(BinaryMatrix.identity(3), i3)
+        save_matrix(BinaryMatrix(np.roll(np.eye(3, dtype=np.int8), 1, axis=1)), p3)
+        assert run(["fixable", str(i3), str(p3)]) == 2
+        assert capsys.readouterr() == ("", "error: the difference has rank 2, not 1\n")
 
     def test_cap_undecided(self, capsys, b10):
         assert cli(capsys, "fixable", A10, b10, "--cap", "1") == (4, "undecided (cap)\n")
@@ -523,6 +554,26 @@ def test_tall_inputs_decide(capsys, tmp_path, command, code):
                    "reconstruct": "1200 1\n" + "1\n" * 1200}[command]
 
 
+@pytest.mark.parametrize("bad", ["non-utf8", "long-name"])
+@pytest.mark.parametrize("argv", [
+    ["verify", A7, "{bad}"], ["convertible", A7, "{bad}"], ["classify", "{bad}"],
+    ["complete", "{bad}"], ["gram-data", "{bad}"], ["gram-data", E7, "--witness", "{bad}"],
+    ["isomorphic", A7, "{bad}"], ["isomorphic", "--distinct-sv", A7, "{bad}"],
+    ["fixable", A7, "{bad}"], ["mates-of", "{bad}"],
+    ["reconstruct", "--grow", "{bad}", "--gcol", E7],
+    ["construct", "--op", "complement", A7, "{bad}"],
+], ids=lambda argv: " ".join(a for a in argv if a not in (A7, E7, "{bad}")))
+def test_unreadable_input_is_usage_error(capsys, tmp_path, argv, bad):
+    """A file that is not UTF-8, or a path the OS refuses, exits 2 with one
+    error line, on every subcommand that reads files."""
+    path = tmp_path / ("x" * 5000) if bad == "long-name" else tmp_path / "raw.mtxt"
+    if bad == "non-utf8":
+        path.write_bytes(b"\xff\xfe2 2\n1 0\n0 1\n")
+    assert run([a.replace("{bad}", str(path)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # contract fuzz: any .mtxt text and any argv exit in {0, 2, 3, 4}, never raise
 
@@ -585,6 +636,7 @@ def _grams(rows) -> tuple[str, str]:
 
 
 _GRAM_TEXT = st.one_of(_small([0, 1]).map(_grams), st.tuples(_MATRIX_TEXT, _MATRIX_TEXT))
+_NOT_UTF8 = st.binary(max_size=20).map(lambda b: b"\xff" + b)  # 0xff starts no UTF-8 sequence
 _CAP = st.sampled_from(["1", "0", "-3", "50", "x"])
 _SIZE = st.sampled_from(["1", "2", "3", "4", "0", "-1", "2.5", "x", ""])
 _SUMS = st.one_of(st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".join(map(str, xs))),
@@ -593,7 +645,7 @@ _SUMS = st.one_of(st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".jo
 
 @st.composite
 def _invocation(draw, command):
-    """(argv with {dir} placeholders, {file name: text})."""
+    """(argv with {dir} placeholders, {file name: text or raw bytes})."""
     files = {}
     if command == "enumerate":
         argv = [command, draw(_SIZE), draw(_SIZE)]
@@ -643,6 +695,12 @@ def _invocation(draw, command):
             st.tuples(st.just(files["E.mtxt"]), st.one_of(st.sampled_from(_WITNESSES), _MATRIX_TEXT))))
     if draw(st.integers(0, 9)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
+    # bytes that are not UTF-8, and input paths the OS refuses
+    if files and draw(st.integers(0, 9)) == 0:
+        files[draw(st.sampled_from(sorted(files)))] = draw(_NOT_UTF8)
+    inputs = [i for i, a in enumerate(argv) if a.startswith("{dir}/") and a[6:] in files]
+    if inputs and draw(st.integers(0, 9)) == 0:
+        argv[draw(st.sampled_from(inputs))] = draw(st.sampled_from(["{dir}/" + "x" * 5000, "{dir}"]))
     return argv, files
 
 
@@ -655,7 +713,7 @@ def test_contract_fuzz(command, data):
     argv, files = data.draw(_invocation(command))
     with tempfile.TemporaryDirectory() as d:
         for name, text in files.items():
-            Path(d, name).write_text(text, encoding="utf-8")
+            Path(d, name).write_bytes(text if isinstance(text, bytes) else text.encode())
         args = [a.replace("{dir}", d) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = run(args)

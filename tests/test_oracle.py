@@ -267,3 +267,20 @@ class TestValidateTheorems:
         assert rep.total_pairs > 0
         assert rep.tags["classified"] == rep.total_pairs
         assert set(rep.by_diff_rank) <= {1, 2}
+
+    @pytest.mark.parametrize("scope, tags", [
+        ("convertibility", {"convertible": 736}),
+        ("all", {"classified": 844, "convertible": 736,
+                 "identity_mates": 23, "identity_convertible": 9}),
+    ])
+    def test_corpus_scope_counts(self, scope, tags):
+        rep = validate_theorems(scope)
+        assert (rep.total_pairs, rep.by_diff_rank) == (844, {1: 736, 2: 108})
+        assert rep.tags == tags
+        assert rep.violations == ()
+
+    @pytest.mark.parametrize("scope", ["convertibilty", "", "ALL"])
+    def test_unknown_scope_is_rejected(self, scope):
+        # a misspelt scope used to return 0 pairs and no violations
+        with pytest.raises(ValueError, match="unknown scope"):
+            validate_theorems(scope)

@@ -180,6 +180,11 @@ class TestRank1Complete:
         b = A.int64() + E.int64()
         assert is_gram_pair(A, BinaryMatrix(b.astype(np.int8))) is not None
 
+    def test_unverified_witness_raises(self, unverified_fill):
+        # rank 1 checks its witness as rank 2 does; this E has a zero column
+        with pytest.raises(RuntimeError, match="failed Gram verification"):
+            rank1_complete(classify_rank1(canonical_rank1_E(1, 1, 0, 1)))
+
 
 class TestRank1GramData:
     def test_smallest_value(self):
