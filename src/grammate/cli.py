@@ -25,7 +25,10 @@ from .gram import GramPair, is_gram_pair, convertibility
 from .matrix_core import (
     BinaryMatrix,
     _in_range,
+    _mtxt_texts,
     _parse_entries,
+    _read_mtxt,
+    _stack_ranks,
     load_matrix,
     rank_exact,
     save_matrix,
@@ -77,8 +80,12 @@ def _load_mates(args) -> GramPair:
 def _load_gram(path) -> np.ndarray:
     """Gram matrices have entries beyond {-1,0,1}: the .mtxt grammar with
     any integer entries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_entries(fh.read())
+    return _read_mtxt(path, _parse_entries)
+
+
+def _texts(mats) -> list[str]:
+    """The .mtxt texts of matrices of one shape, from one writer call."""
+    return _mtxt_texts(np.array([M.data for M in mats])) if mats else []
 
 
 def _emit_json(payload: dict) -> None:
@@ -314,30 +321,32 @@ def cmd_fixable(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    pairs = oracle.enumerate_gram_pairs(
+    # printed from the scan's arrays: its equal Gram keys are the exact check
+    stack = oracle._gram_pair_arrays(
         args.M, args.N,
-        row_sums_filter=_int_list(args.rowsums) if args.rowsums else None,
-        col_sums_filter=_int_list(args.colsums) if args.colsums else None,
-        diff_rank=args.rank,
+        _int_list(args.rowsums) if args.rowsums else None,
+        _int_list(args.colsums) if args.colsums else None,
     )
+    ranks = _stack_ranks(stack[:, 0] - stack[:, 1])
+    if args.rank is not None:
+        keep = ranks == args.rank
+        stack, ranks = stack[keep], ranks[keep]
+    ranks = ranks.tolist()
     if args.json:
-        _emit_json({"command": "enumerate", "count": len(pairs),
-                    "pairs": [{"A": p.A.int64().tolist(), "B": p.B.int64().tolist(),
-                               "diff_rank": p.diff_rank} for p in pairs]})
+        _emit_json({"command": "enumerate", "count": len(ranks),
+                    "pairs": [{"A": a, "B": b, "diff_rank": r}
+                              for (a, b), r in zip(stack.tolist(), ranks)]})
         return EXIT_OK
-    print(f"pairs: {len(pairs)}")
-    for i, p in enumerate(pairs):
-        print(f"pair {i} (difference rank {p.diff_rank}):")
-        sys.stdout.write(serialize_matrix(p.A))
-        sys.stdout.write(serialize_matrix(p.B))
+    texts = _mtxt_texts(stack.reshape(2 * len(ranks), args.M, args.N))
+    sys.stdout.write(f"pairs: {len(ranks)}\n" + "".join(
+        f"pair {i} (difference rank {r}):\n{texts[2 * i]}{texts[2 * i + 1]}"
+        for i, r in enumerate(ranks)))
     return EXIT_OK
 
 
 def cmd_mates_of(args) -> int:
     mates = oracle.enumerate_mates_of(_load_binary(args.A), node_cap=args.cap)
-    print(f"mates: {len(mates)}")
-    for M in mates:
-        sys.stdout.write(serialize_matrix(M))
+    sys.stdout.write(f"mates: {len(mates)}\n" + "".join(_texts(mates)))
     return EXIT_OK if mates else EXIT_NO
 
 
@@ -349,10 +358,7 @@ def cmd_reconstruct(args) -> int:
     if not found:
         print("none")
         return EXIT_NO
-    for i, M in enumerate(found):
-        if i:
-            print()
-        sys.stdout.write(serialize_matrix(M))
+    sys.stdout.write("\n".join(_texts(found)))
     return EXIT_OK
 
 

@@ -12,14 +12,20 @@ immutable values.
 Every product the package decides with is exact, though not all are taken
 in int64.  The Gram identities (gram._same_grams) and the searches' leaf
 checks are int64 products; rank_exact runs in int64 while its minors fit
-and in Python integers after.  Two searches use narrower types where a
-bound makes them exact: gale_ryser.matrices_with_grams takes its candidate
+and in Python integers after.  _stack_ranks runs the same elimination on a
+whole (N, m, n) stack in int64 only, so it refuses min(m, n) > 15, where
+the minors could pass 2^63.  Two searches use narrower types where a bound
+makes them exact: gale_ryser.matrices_with_grams takes its candidate
 products and residual prune in float32 BLAS, as a product of two (0,1)
 rows is an integer of at most n, exact in float32 while n < 2^24, and a
 float sum of non-negative integers is zero exactly when every term is;
-oracle.enumerate_gram_pairs takes its Gram keys by an int8 einsum, as an
-entry is at most max(m, n) <= 20 under its cell cap.  What either search
-returns has passed the int64 identities.
+oracle's enumeration scan takes its Gram keys by an int8 einsum, as an
+entry is at most max(m, n) <= 20 under its cell cap, so equal keys are
+equal Grams.  What matrices_with_grams returns has passed the int64
+identities, and so has every GramPair.
+
+One writer, _mtxt_texts, makes the .mtxt text of a whole stack of
+matrices; serialize_matrix is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -256,6 +262,40 @@ def rank_exact(E) -> int:
     return len(_pivots(E.data)[0])
 
 
+def _stack_ranks(stack: np.ndarray) -> np.ndarray:
+    """Ranks over the rationals of an (N, m, n) stack of {-1,0,1} matrices.
+
+    Bareiss elimination run on the whole stack at once, with _pivots' rule:
+    each matrix pivots on its first nonzero entry in row-major order.  A
+    matrix with no nonzero entry left is dropped from the stack, so it stays
+    zero and its rank stops growing.  The loop takes at most min(m, n)
+    steps, all in int64, so a stack whose min(m, n) exceeds _INT64_STEPS is
+    a ValueError.
+    """
+    count, m, n = stack.shape
+    if min(m, n) > _INT64_STEPS:
+        raise ValueError(f"stacked ranks run in int64 only, up to {_INT64_STEPS} steps")
+    ranks = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    a = stack.astype(np.int64)
+    prev = np.ones(count, dtype=np.int64)
+    while True:
+        nonzero = (a != 0).reshape(len(a), m * n)
+        keep = nonzero.any(axis=1)
+        if not keep.all():
+            live, a, prev, nonzero = live[keep], a[keep], prev[keep], nonzero[keep]
+        if not len(live):
+            return ranks
+        ranks[live] += 1
+        r, c = np.divmod(nonzero.argmax(axis=1), n)
+        at = np.arange(len(live))
+        piv = a[at, r, c]
+        b = a * piv[:, None, None]
+        b -= a[at, :, c][:, :, None] * a[at, r][:, None, :]
+        b //= prev[:, None, None]
+        a, prev = b, piv
+
+
 def apply_perms(M, P: Permutation, Q: Permutation):
     """Return PMQ'-style relabeling: entry (i,j) of result = M[P^-1(i), Q^-1(j)].
 
@@ -287,19 +327,22 @@ def _parse_entries(text: str) -> np.ndarray:
         raise MatrixFormatError("dimensions must be positive")
     if len(lines) - 1 != rows:
         raise MatrixFormatError(f"expected {rows} rows, found {len(lines) - 1}")
-    entries = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    tokens = [ln.split() for ln in lines[1:]]
+    for ln, parts in zip(lines[1:], tokens):
         if len(parts) != cols:
             raise MatrixFormatError(f"row length mismatch: {ln!r}")
+    try:
+        # numpy converts each token with Python's int(), so it accepts
+        # exactly what int() accepts
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    for ln, parts in zip(lines[1:], tokens):
         try:
-            entries.append([int(p) for p in parts])
+            list(map(int, parts))
         except ValueError:
             raise MatrixFormatError(f"non-integer entry in row: {ln!r}") from None
-    try:
-        return np.array(entries, dtype=np.int64)
-    except OverflowError:
-        raise MatrixFormatError("entry out of the int64 range") from None
+    raise MatrixFormatError("entry out of the int64 range")
 
 
 def parse_matrix(text: str):
@@ -316,14 +359,45 @@ def parse_matrix(text: str):
     return SignedMatrix(a)
 
 
+def _mtxt_texts(stack: np.ndarray) -> list[str]:
+    """The .mtxt text of each matrix of an (N, m, n) int8 {-1,0,1} stack.
+
+    One byte buffer holds every text: the dimension line, then per entry a
+    sign byte, a digit and a separator.  The sign byte of a non-negative
+    entry is a NUL pad, which one bytes.translate drops, and each text's
+    length follows from its count of negative entries.
+    """
+    count, m, n = stack.shape
+    head = f"{m} {n}\n".encode()
+    buf = np.empty((count, len(head) + 3 * m * n), dtype=np.uint8)
+    buf[:, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+    cells = buf[:, len(head):].reshape(count, m, n, 3)
+    negative = stack < 0
+    cells[..., 0] = negative.view(np.uint8) * np.uint8(ord("-"))
+    cells[..., 1] = (stack != 0).view(np.uint8) + np.uint8(ord("0"))
+    cells[..., 2] = ord(" ")
+    cells[:, :, -1, 2] = ord("\n")
+    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    ends = np.cumsum(len(head) + 2 * m * n + negative.sum(axis=(1, 2))).tolist()
+    return [text[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def serialize_matrix(M) -> str:
-    body = "".join(" ".join(map(str, row)) + "\n" for row in M.data.tolist())
-    return f"{M.rows} {M.cols}\n" + body
+    return _mtxt_texts(M.data[None])[0]
+
+
+def _read_mtxt(path, parse):
+    """parse(the text of the file at path), with the path in front of any
+    format error, a non-UTF-8 file included."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
 def load_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return _read_mtxt(path, parse_matrix)
 
 
 def save_matrix(M, path) -> None:

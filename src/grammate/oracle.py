@@ -6,7 +6,11 @@ harness that replays the library's invariants against enumerated corpora.
 The mates of A are the other matrices with A's Grams, so enumerate_mates_of
 is `reconstruct`'s exact search, gale_ryser.matrices_with_grams, less A.
 Enumeration scans every code of a shape and is capped at DEFAULT_CELL_CAP
-cells, so that its Gram keys fit in memory.
+cells, so that its Gram keys fit in memory.  The scan, _gram_pair_arrays,
+is where its exact Gram check happens: two codes pair when their int8 Gram
+keys are equal, exact under the cap.  It returns arrays; GramPairs are
+built only by enumerate_gram_pairs, and `grammate enumerate` prints
+straight from the arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .gale_ryser import DEFAULT_MATE_NODE_CAP, OracleCapError, matrices_with_grams
 from .gram import GramPair, convertibility, is_gram_pair
-from .matrix_core import BinaryMatrix, col_sums, row_sums, serialize_matrix
+from .matrix_core import BinaryMatrix, _stack_ranks, col_sums, row_sums, serialize_matrix
 from .rank_forms import classify_rank1, classify_rank2
 
 # The scan keeps one Gram key of m(m+1)/2 + n(n+1)/2 bytes for each of the
@@ -57,19 +61,16 @@ def _sums_match(sums: np.ndarray, want: tuple) -> np.ndarray:
     return np.logical_and.reduce([sums[:, i] == v for i, v in enumerate(want)])
 
 
-def enumerate_gram_pairs(
-    m: int,
-    n: int,
-    row_sums_filter=None,
-    col_sums_filter=None,
-    diff_rank: int | None = None,
-) -> list[GramPair]:
-    """All unordered Gram pairs of shape m x n, in lexicographic bit order.
+def _gram_pair_arrays(m: int, n: int, row_sums_filter=None, col_sums_filter=None) -> np.ndarray:
+    """The (p, 2, m, n) int8 stack of every unordered Gram pair of shape
+    m x n, in lexicographic bit order of the two codes.
 
     Matrices are encoded as mn-bit integers and decoded a block at a time
     into one (N, m, n) array.  The sum filters are array masks; both Grams
     come from one batched einsum each, and codes are grouped by their upper
-    triangles with one lexsort.  Pairs are emitted within groups only.
+    triangles with one lexsort.  Pairs are taken within groups only.  Equal
+    keys are the exact Gram check, as int8 holds every Gram entry under the
+    cell cap, and distinct codes are distinct matrices.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -107,15 +108,34 @@ def enumerate_gram_pairs(
         for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist())
         for pair in itertools.combinations(codes[lo:hi], 2)
     )
-    mats = _bits(np.array(pairs, dtype=np.int64).reshape(-1), m, n)
+    return _bits(np.array(pairs, dtype=np.int64).reshape(-1), m, n).reshape(len(pairs), 2, m, n)
 
+
+def enumerate_gram_pairs(
+    m: int,
+    n: int,
+    row_sums_filter=None,
+    col_sums_filter=None,
+    diff_rank: int | None = None,
+) -> list[GramPair]:
+    """All unordered Gram pairs of shape m x n, in lexicographic bit order.
+
+    The pairs of _gram_pair_arrays, each passed through is_gram_pair.  With
+    diff_rank, the pairs are first selected by their stacked difference
+    ranks, so only the pairs returned are built; a GramPair whose rank
+    differs from its stacked rank is a RuntimeError.
+    """
+    stack = _gram_pair_arrays(m, n, row_sums_filter, col_sums_filter)
+    if diff_rank is not None:
+        stack = stack[_stack_ranks(stack[:, 0] - stack[:, 1]) == diff_rank]
     out: list[GramPair] = []
-    for k in range(len(pairs)):
-        pair = is_gram_pair(BinaryMatrix(mats[2 * k]), BinaryMatrix(mats[2 * k + 1]))
+    for a, b in stack:
+        pair = is_gram_pair(BinaryMatrix(a), BinaryMatrix(b))
         if pair is None:  # same Grams and distinct
             raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
-        if diff_rank is None or pair.diff_rank == diff_rank:
-            out.append(pair)
+        if diff_rank is not None and pair.diff_rank != diff_rank:
+            raise RuntimeError("the stacked difference rank disagrees with rank_exact")
+        out.append(pair)
     return out
 
 

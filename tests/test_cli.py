@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from grammate import gale_ryser
 from grammate.cli import build_parser, run
-from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix
+from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix, serialize_matrix
+from grammate.oracle import enumerate_gram_pairs
 from grammate.rank_forms import canonical_rank2_E, classify_rank2, rank2_complete, rank2_realizable
 
 FIX = Path(__file__).parent / "fixtures"
@@ -397,6 +398,30 @@ class TestEnumerate:
         assert run(["enumerate", m, n]) == 2
         assert capsys.readouterr() == ("", "error: dimensions must be positive\n")
 
+    @pytest.mark.parametrize("argv", [["--rowsums", "9,9"], ["--rowsums", "1"],
+                                      ["--colsums", "1,1,1"], ["--rank", "4"]])
+    def test_no_pairs(self, capsys, argv):
+        assert cli(capsys, "enumerate", "2", "2", *argv) == (0, "pairs: 0\n")
+        code, out = cli(capsys, "enumerate", "2", "2", *argv, "--json")
+        assert code == 0 and json.loads(out) == {"schema": 1, "command": "enumerate",
+                                                 "count": 0, "pairs": []}
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 5)])
+    def test_output_is_the_library_pairs(self, capsys, m, n):
+        # byte for byte the text and JSON built from GramPair objects
+        pairs = enumerate_gram_pairs(m, n)
+        for rank in (None, 0, 1, 2, 3):
+            chosen = [p for p in pairs if rank is None or p.diff_rank == rank]
+            text = f"pairs: {len(chosen)}\n" + "".join(
+                f"pair {i} (difference rank {p.diff_rank}):\n"
+                + serialize_matrix(p.A) + serialize_matrix(p.B) for i, p in enumerate(chosen))
+            doc = json.dumps({"schema": 1, "command": "enumerate", "count": len(chosen),
+                              "pairs": [{"A": p.A.int64().tolist(), "B": p.B.int64().tolist(),
+                                         "diff_rank": p.diff_rank} for p in chosen]}) + "\n"
+            argv = ["enumerate", str(m), str(n)] + ([] if rank is None else ["--rank", str(rank)])
+            assert cli(capsys, *argv) == (0, text)
+            assert cli(capsys, *argv, "--json") == (0, doc)
+
 
 class TestMatesOf:
     def test_i2(self, capsys, i2):
@@ -572,6 +597,19 @@ def test_unreadable_input_is_usage_error(capsys, tmp_path, argv, bad):
     assert run([a.replace("{bad}", str(path)) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"2 2\n1 0\n", "expected 2 rows, found 1"),
+    (b"\xff\xfe2 2\n1 0\n0 1\n", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_input_errors_name_the_file(capsys, tmp_path, i2, content, message):
+    bad = tmp_path / "bad.mtxt"
+    bad.write_bytes(content)
+    for argv in (["verify", i2, str(bad)], ["reconstruct", "--grow", str(bad), "--gcol", i2]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

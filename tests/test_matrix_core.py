@@ -11,7 +11,11 @@ from grammate.matrix_core import (
     MatrixFormatError,
     Permutation,
     SignedMatrix,
+    _INT64_STEPS,
+    _mtxt_texts,
+    _parse_entries,
     _pivots,
+    _stack_ranks,
     apply_perms,
     col_sums,
     parse_matrix,
@@ -191,6 +195,45 @@ class TestRankExact:
                 rank_exact(bad)
 
 
+def _low_rank(rng, m, n, r):
+    """An m x n {-1,0,1} matrix of rank at most r: each row is a row of a
+    (0,1) factor, or the difference of two."""
+    i, j = rng.integers(0, r, (2, m))
+    x = np.eye(r, dtype=int)[i] - np.eye(r, dtype=int)[j] * (rng.random((m, 1)) < 0.5)
+    return x @ rng.integers(0, 2, (r, n))
+
+
+class TestStackRanks:
+    @pytest.mark.parametrize("shape", [(15, 15), (15, 6), (4, 15), (1, 1), (1, 9), (9, 1), (11, 13)])
+    def test_equals_rank_exact_on_random_stacks(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        m, n = shape
+        dense = rng.integers(-1, 2, (8, m, n))
+        sparse = rng.choice([-1, 0, 1], (8, m, n), p=[0.1, 0.8, 0.1])
+        low = [_low_rank(rng, m, n, int(r)) for r in rng.integers(1, min(m, n) + 1, 8)]
+        stack = np.concatenate([dense, sparse, low, np.zeros((3, m, n), int)])
+        stack = stack[rng.permutation(len(stack))].astype(np.int8)
+        assert _stack_ranks(stack).tolist() == [rank_exact(SignedMatrix(a)) for a in stack]
+
+    def test_hadamard_rows_reach_the_int64_bound(self):
+        # H16's first 15 rows: 15 pivots, the most the int64 steps allow
+        h = np.array([[1]])
+        for _ in range(4):
+            h = np.block([[h, h], [h, -h]])
+        square = np.array([h[:15, :15], -h[:15, :15], h[14::-1, :15]], dtype=np.int8)
+        assert _stack_ranks(square).tolist() == [15, 15, 15]
+        assert _stack_ranks(h[None, :15].astype(np.int8)).tolist() == [15]
+
+    def test_empty_stack(self):
+        assert _stack_ranks(np.zeros((0, 3, 4), dtype=np.int8)).tolist() == []
+
+    @pytest.mark.parametrize("shape", [(16, 16), (40, 16)])
+    def test_past_the_int64_bound_is_refused(self, shape):
+        assert min(shape) == _INT64_STEPS + 1
+        with pytest.raises(ValueError):
+            _stack_ranks(np.zeros((1, *shape), dtype=np.int8))
+
+
 def _greedy_rows(a: np.ndarray) -> list[int]:
     """Indices of the rows of a independent of the rows before them, by
     Gaussian elimination over Fractions."""
@@ -292,6 +335,36 @@ class TestMtxtFormat:
             back = parse_matrix(text)
             assert back.data.tolist() == m.data.tolist()
             assert isinstance(back, BinaryMatrix) == (min(entries) >= 0)
+
+    @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1)])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+    def test_writer_is_the_per_row_join(self, alphabet, shape):
+        # one call on the stack of every matrix of the shape and alphabet
+        stack = np.array(list(itertools.product(alphabet, repeat=shape[0] * shape[1])),
+                         dtype=np.int8).reshape(-1, *shape)
+        want = [f"{shape[0]} {shape[1]}\n" + "".join(" ".join(map(str, row)) + "\n" for row in a)
+                for a in stack.tolist()]
+        assert _mtxt_texts(stack) == want
+
+    def test_writer_on_no_matrices(self):
+        assert _mtxt_texts(np.zeros((0, 2, 3), dtype=np.int8)) == []
+
+    def test_entries_are_what_int_accepts(self):
+        text = "2 3\n+1 1_0 -0\n\u0661 9223372036854775807 -9223372036854775808\n"
+        assert _parse_entries(text).tolist() == [[1, 10, 0], [1, 2**63 - 1, -2**63]]
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 2\n1 99999999999999999999\n1 x\n", "non-integer entry in row: '1 x'"),
+        ("2 2\n1 1.5\n1 x\n", "non-integer entry in row: '1 1.5'"),
+        ("2 2\n1 0\n-99999999999999999999 1\n", "entry out of the int64 range"),
+        ("2 2\n1 0\n1\n", "row length mismatch: '1'"),
+        ("2 2\n1 0\n", "expected 2 rows, found 1"),
+    ])
+    def test_malformed_messages(self, text, message):
+        # every row is converted before the int64 range is checked
+        with pytest.raises(MatrixFormatError) as err:
+            _parse_entries(text)
+        assert str(err.value) == message
 
     @settings(max_examples=40, deadline=None)
     @given(signed_arrays(max_dim=6))
