@@ -378,6 +378,8 @@ def _mtxt_texts(stack: np.ndarray) -> list[str]:
     cells[..., 2] = ord(" ")
     cells[:, :, -1, 2] = ord("\n")
     text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    if count == 1:
+        return [text]
     ends = np.cumsum(len(head) + 2 * m * n + negative.sum(axis=(1, 2))).tolist()
     return [text[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 

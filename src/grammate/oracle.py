@@ -23,7 +23,7 @@ import numpy as np
 
 from .gale_ryser import DEFAULT_MATE_NODE_CAP, OracleCapError, matrices_with_grams
 from .gram import GramPair, convertibility, is_gram_pair
-from .matrix_core import BinaryMatrix, _stack_ranks, col_sums, row_sums, serialize_matrix
+from .matrix_core import BinaryMatrix, col_sums, row_sums, serialize_matrix
 from .rank_forms import classify_rank1, classify_rank2
 
 # The scan keeps one Gram key of m(m+1)/2 + n(n+1)/2 bytes for each of the
@@ -120,22 +120,16 @@ def enumerate_gram_pairs(
 ) -> list[GramPair]:
     """All unordered Gram pairs of shape m x n, in lexicographic bit order.
 
-    The pairs of _gram_pair_arrays, each passed through is_gram_pair.  With
-    diff_rank, the pairs are first selected by their stacked difference
-    ranks, so only the pairs returned are built; a GramPair whose rank
-    differs from its stacked rank is a RuntimeError.
+    The pairs of _gram_pair_arrays, each passed through is_gram_pair, whose
+    rank_exact decides the diff_rank filter.
     """
-    stack = _gram_pair_arrays(m, n, row_sums_filter, col_sums_filter)
-    if diff_rank is not None:
-        stack = stack[_stack_ranks(stack[:, 0] - stack[:, 1]) == diff_rank]
     out: list[GramPair] = []
-    for a, b in stack:
+    for a, b in _gram_pair_arrays(m, n, row_sums_filter, col_sums_filter):
         pair = is_gram_pair(BinaryMatrix(a), BinaryMatrix(b))
         if pair is None:  # same Grams and distinct
             raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
-        if diff_rank is not None and pair.diff_rank != diff_rank:
-            raise RuntimeError("the stacked difference rank disagrees with rank_exact")
-        out.append(pair)
+        if diff_rank is None or pair.diff_rank == diff_rank:
+            out.append(pair)
     return out
 
 

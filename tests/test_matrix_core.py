@@ -358,6 +358,8 @@ class TestMtxtFormat:
         ("2 2\n1 1.5\n1 x\n", "non-integer entry in row: '1 1.5'"),
         ("2 2\n1 0\n-99999999999999999999 1\n", "entry out of the int64 range"),
         ("2 2\n1 0\n1\n", "row length mismatch: '1'"),
+        # every row length is checked before any entry is converted
+        ("2 2\n1 x\n1\n", "row length mismatch: '1'"),
         ("2 2\n1 0\n", "expected 2 rows, found 1"),
     ])
     def test_malformed_messages(self, text, message):
