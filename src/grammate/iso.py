@@ -1,10 +1,10 @@
 """
-Isomorphism of Gram pairs (B = PAQ), the remaining-matrix context of a
-rank-1 pair, the fixability predicate, and isomorphism of mates whose
-singular values are all distinct.  The last has the precondition
-distinct_singular_values, the one float predicate in the library that
-decides anything: LAPACK's singular values through numpy, separated by the
-relative gap _REL_TOL.
+Isomorphism of Gram pairs (B = PAQ), fixability and sum separation of a
+rank-1 pair, given as its A in canonical coordinates (RemainingContext), and
+isomorphism of mates whose singular values are all distinct.  The last has
+the precondition distinct_singular_values, the one float predicate in the
+library that decides anything: LAPACK's singular values through numpy,
+separated by the relative gap _REL_TOL.
 
 All three questions are one search: a complete backtracking over row maps
 in which rows and columns may carry colours that P and Q must preserve.
@@ -33,7 +33,7 @@ import numpy as np
 
 from .gram import GramPair
 from .matrix_core import BinaryMatrix, Permutation, apply_perms, rank_exact
-from .rank_forms import classify_rank1
+from .rank_forms import Rank1Form, classify_rank1
 
 DEFAULT_NODE_CAP = 10**7
 _REL_TOL = 1e-8  # least relative gap between distinct singular values
@@ -52,26 +52,20 @@ class _DeadEnd(Exception):
 
 @dataclass(frozen=True)
 class RemainingContext:
-    """Canonical decomposition of a rank-1 pair.
+    """A rank-1 pair in the canonical coordinates of its difference.
 
-    In canonical coordinates A is [[J,0,X1],[0,J,X2],[X3,X4,Y]] (or the same
-    with the J blocks swapped); alpha/beta are the touched rows/columns in
-    the original coordinates, and row_perm/col_perm map original indices to
-    the canonical layout.
+    A is the pair's A relabelled by form.row_perm and form.col_perm, so that
+    it reads [[J,0,X1],[0,J,X2],[X3,X4,Y]] with J the k1 x k2 all-ones
+    block; B is the same matrix with its two J blocks swapped.  The first
+    2*k1 rows and 2*k2 columns are the touched ones.
     """
 
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    k1: int
-    k2: int
-    # blocks are int8 arrays rather than BinaryMatrix so they may be empty
-    X1: np.ndarray
-    X2: np.ndarray
-    X3: np.ndarray
-    X4: np.ndarray
-    Y: np.ndarray
-    row_perm: Permutation
-    col_perm: Permutation
+    A: BinaryMatrix
+    form: Rank1Form
+
+    def __post_init__(self):
+        if self.A.shape != self.form.shape:
+            raise ValueError("dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -91,30 +85,7 @@ def remaining_context(pair: GramPair) -> RemainingContext:
         if rank != 1:
             raise ValueError(f"the difference has rank {rank}, not 1")
         raise RuntimeError("rank-1 difference of a Gram pair has no canonical form")
-    k1, k2 = form.k1, form.k2
-    a = apply_perms(pair.A, form.row_perm, form.col_perm).int64()
-    dd = d.int64()
-    alpha = tuple(i for i in range(dd.shape[0]) if dd[i].any())
-    beta = tuple(j for j in range(dd.shape[1]) if dd[:, j].any())
-
-    def blk(rows, cols):
-        return a[rows, :][:, cols].astype(np.int8)
-
-    r1, r2, r3 = slice(0, k1), slice(k1, 2 * k1), slice(2 * k1, None)
-    c1, c2, c3 = slice(0, k2), slice(k2, 2 * k2), slice(2 * k2, None)
-    return RemainingContext(
-        alpha=alpha,
-        beta=beta,
-        k1=k1,
-        k2=k2,
-        X1=blk(r1, c3),
-        X2=blk(r2, c3),
-        X3=blk(r3, c1),
-        X4=blk(r3, c2),
-        Y=blk(r3, c3),
-        row_perm=form.row_perm,
-        col_perm=form.col_perm,
-    )
+    return RemainingContext(apply_perms(pair.A, form.row_perm, form.col_perm), form)
 
 
 # splitmix64's finaliser constants: fixed odd multipliers, so nothing is
@@ -298,12 +269,10 @@ def is_fixable(ctx: RemainingContext, node_cap: int = DEFAULT_NODE_CAP):
     onto each other and keeps the X3/X4 column groups, or the transpose of
     that; on the untouched part it fixes Y.
     """
-    k1, k2 = ctx.k1, ctx.k2
-    m, n = 2 * k1 + ctx.Y.shape[0], 2 * k2 + ctx.Y.shape[1]
-    m0 = np.zeros((m, n), dtype=np.int64)
-    m0[:2 * k1, 2 * k2:] = np.vstack([ctx.X1, ctx.X2])
-    m0[2 * k1:, :2 * k2] = np.hstack([ctx.X3, ctx.X4])
-    m0[2 * k1:, 2 * k2:] = ctx.Y
+    k1, k2 = ctx.form.k1, ctx.form.k2
+    m, n = ctx.A.shape
+    m0 = ctx.A.int64()
+    m0[:2 * k1, :2 * k2] = 0
     m1 = m0.copy()
     m0[:k1, k2:2 * k2] = m0[k1:2 * k1, :k2] = 1
     m1[:k1, :k2] = m1[k1:2 * k1, k2:2 * k2] = 1
@@ -350,17 +319,18 @@ def sum_separation(A: BinaryMatrix, ctx: RemainingContext) -> bool:
 
     True when, for each of the two touched row groups, its set of row sums
     shares nothing with the untouched rows' sums, and likewise for columns.
-    Under this hypothesis isomorphic and fixable coincide.
+    A is in the pair's own coordinates (its A or its B: they share every
+    row and column sum).  Under this hypothesis isomorphic and fixable
+    coincide.
     """
+    if A.shape != ctx.A.shape:
+        raise ValueError("dimension mismatch")
     a = A.int64()
-    rs = a.sum(axis=1)
-    cs = a.sum(axis=0)
-    inv_r = ctx.row_perm.inverse().image
-    inv_c = ctx.col_perm.inverse().image
-    r1 = {int(rs[inv_r[i]]) for i in range(ctx.k1)}
-    r2 = {int(rs[inv_r[i]]) for i in range(ctx.k1, 2 * ctx.k1)}
-    r3 = {int(rs[inv_r[i]]) for i in range(2 * ctx.k1, len(inv_r))}
-    c1 = {int(cs[inv_c[j]]) for j in range(ctx.k2)}
-    c2 = {int(cs[inv_c[j]]) for j in range(ctx.k2, 2 * ctx.k2)}
-    c3 = {int(cs[inv_c[j]]) for j in range(2 * ctx.k2, len(inv_c))}
-    return not (r1 & r3) and not (r2 & r3) and not (c1 & c3) and not (c2 & c3)
+    for sums, perm, k in ((a.sum(axis=1), ctx.form.row_perm, ctx.form.k1),
+                          (a.sum(axis=0), ctx.form.col_perm, ctx.form.k2)):
+        canonical = np.empty_like(sums)
+        canonical[list(perm.image)] = sums
+        rest = set(canonical[2 * k:].tolist())
+        if rest & set(canonical[:k].tolist()) or rest & set(canonical[k:2 * k].tolist()):
+            return False
+    return True

@@ -43,7 +43,6 @@ class EnumerationReport:
     by_diff_rank: dict[int, int]
     tags: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
-    violations: tuple[str, ...] = ()
 
 
 _BLOCK = 1 << 16  # codes decoded per numpy pass; bounds the scan's temporaries
@@ -116,20 +115,17 @@ def enumerate_gram_pairs(
     n: int,
     row_sums_filter=None,
     col_sums_filter=None,
-    diff_rank: int | None = None,
 ) -> list[GramPair]:
     """All unordered Gram pairs of shape m x n, in lexicographic bit order.
 
-    The pairs of _gram_pair_arrays, each passed through is_gram_pair, whose
-    rank_exact decides the diff_rank filter.
+    The pairs of _gram_pair_arrays, each passed through is_gram_pair.
     """
     out: list[GramPair] = []
     for a, b in _gram_pair_arrays(m, n, row_sums_filter, col_sums_filter):
         pair = is_gram_pair(BinaryMatrix(a), BinaryMatrix(b))
         if pair is None:  # same Grams and distinct
             raise RuntimeError("matrices with equal Gram matrices are not a Gram pair")
-        if diff_rank is None or pair.diff_rank == diff_rank:
-            out.append(pair)
+        out.append(pair)
     return out
 
 

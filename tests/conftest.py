@@ -23,6 +23,13 @@ def rank1_example():
 
 
 @pytest.fixture
+def rank1_6x6_example():
+    """A 6x6 rank-1 pair (A, B = A+E), k1 = k2 = 2, that is non-isomorphic,
+    not fixable and not sum-separated."""
+    return fixture_matrix("ex_rank1_6x6_A.mtxt"), fixture_matrix("ex_rank1_6x6_B.mtxt")
+
+
+@pytest.fixture
 def unverified_fill(monkeypatch):
     """rank_forms._fill puts a one on cell (0, -1) of every witness it builds.
 

@@ -21,6 +21,8 @@ B7 = str(FIX / "ex_rank1_B.mtxt")
 E7 = str(FIX / "ex_rank1_E.mtxt")
 A10 = str(FIX / "ex_same_entries_A.mtxt")
 E10 = str(FIX / "ex_same_entries_E.mtxt")
+A6 = str(FIX / "ex_rank1_6x6_A.mtxt")
+B6 = str(FIX / "ex_rank1_6x6_B.mtxt")
 
 
 def cli(capsys, *args):
@@ -328,6 +330,9 @@ class TestIsomorphic:
     def test_negative(self, capsys):
         assert cli(capsys, "isomorphic", A7, B7) == (3, "non-isomorphic\n")
 
+    def test_negative_6x6(self, capsys):
+        assert cli(capsys, "isomorphic", A6, B6) == (3, "non-isomorphic\n")
+
     def test_witness(self, capsys, b10):
         code, out = cli(capsys, "isomorphic", A10, b10)
         assert code == 0
@@ -353,6 +358,9 @@ class TestIsomorphic:
 class TestFixable:
     def test_not_fixable(self, capsys):
         assert cli(capsys, "fixable", A7, B7) == (3, "not fixable\n")
+
+    def test_not_fixable_6x6(self, capsys):
+        assert cli(capsys, "fixable", A6, B6) == (3, "not fixable\n")
 
     def test_fixable(self, capsys, b10):
         assert cli(capsys, "fixable", A10, b10) == (0, "fixable\n")

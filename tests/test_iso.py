@@ -22,8 +22,8 @@ from grammate.iso import (
     remaining_context,
     sum_separation,
 )
-from grammate.matrix_core import BinaryMatrix, Permutation
-from grammate.rank_forms import canonical_rank1_E
+from grammate.matrix_core import BinaryMatrix, Permutation, apply_perms
+from grammate.rank_forms import Rank1Form, canonical_rank1_E
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
 I2 = BinaryMatrix(np.eye(2, dtype=np.int8))
@@ -40,23 +40,48 @@ def pair10(same_entries_example):
     return is_gram_pair(A, B)
 
 
+def touched(p):
+    """The rows and the columns where the pair's difference is nonzero."""
+    d = p.diff().int64()
+    return tuple(np.flatnonzero(d.any(axis=1))), tuple(np.flatnonzero(d.any(axis=0)))
+
+
 class TestRemainingContext:
     def test_empty_for_canonical_blocks(self):
-        ctx = remaining_context(is_gram_pair(EXCHANGE, I2))
-        assert ctx.Y.size == 0 and ctx.alpha == (0, 1) and ctx.beta == (0, 1)
+        p = is_gram_pair(EXCHANGE, I2)
+        ctx = remaining_context(p)
+        assert ctx.A == I2 and (ctx.form.k1, ctx.form.k2) == (1, 1)
+        assert touched(p) == ((0, 1), (0, 1))
 
     def test_paper_7x7(self, rank1_example):
-        ctx = remaining_context(pair7(rank1_example))
-        assert (ctx.k1, ctx.k2) == (2, 2)
-        assert ctx.Y.shape == (3, 3) and (ctx.Y == 1).all()
-        assert ctx.alpha == (0, 1, 2, 3) and ctx.beta == (0, 1, 2, 3)
+        p = pair7(rank1_example)
+        ctx = remaining_context(p)
+        assert (ctx.form.k1, ctx.form.k2) == (2, 2)
+        assert (ctx.A.int64()[4:, 4:] == 1).all()
+        assert touched(p) == ((0, 1, 2, 3), (0, 1, 2, 3))
+
+    def test_B_is_A_with_the_J_blocks_swapped(self, rank1_example, same_entries_example, rank1_6x6_example):
+        for p in (pair7(rank1_example), pair10(same_entries_example), is_gram_pair(*rank1_6x6_example)):
+            ctx = remaining_context(p)
+            k1, k2 = ctx.form.k1, ctx.form.k2
+            j, z = np.ones((k1, k2)), np.zeros((k1, k2))
+            a = ctx.A.int64()
+            b = apply_perms(p.B, ctx.form.row_perm, ctx.form.col_perm).int64()
+            assert (a[:2 * k1, :2 * k2] == np.block([[j, z], [z, j]])).all()
+            assert (b[:2 * k1, :2 * k2] == np.block([[z, j], [j, z]])).all()
+            b[:2 * k1, :2 * k2] = a[:2 * k1, :2 * k2]
+            assert (a == b).all()
+
+    def test_shape_must_match_the_form(self):
+        form = remaining_context(is_gram_pair(EXCHANGE, I2)).form
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            RemainingContext(BinaryMatrix.identity(3), form)
 
     def test_untouched_block_agrees(self, same_entries_example):
-        A, E = same_entries_example
         p = pair10(same_entries_example)
-        ctx = remaining_context(p)
-        rest_r = [i for i in range(10) if i not in ctx.alpha]
-        rest_c = [j for j in range(10) if j not in ctx.beta]
+        alpha, beta = touched(p)
+        rest_r = [i for i in range(10) if i not in alpha]
+        rest_c = [j for j in range(10) if j not in beta]
         a, b = p.A.int64(), p.B.int64()
         assert (a[np.ix_(rest_r, rest_c)] == b[np.ix_(rest_r, rest_c)]).all()
 
@@ -74,7 +99,7 @@ class TestRemainingContext:
     @pytest.mark.parametrize("diff_rank", [0, 5, 99])
     def test_decided_from_the_difference(self, diff_rank):
         ctx = remaining_context(GramPair(I2, EXCHANGE, diff_rank))
-        assert (ctx.k1, ctx.k2) == (1, 1)
+        assert (ctx.form.k1, ctx.form.k2) == (1, 1)
 
 
 class TestIsFixable:
@@ -200,6 +225,26 @@ class TestSumSeparation:
         assert sum_separation(p.A, ctx)
         assert isinstance(are_isomorphic(p.A, p.B), IsoWitness) == (is_fixable(ctx) is True)
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_matrix_of_another_shape_rejected(self, size):
+        # a 3x3 matrix used to be judged separated, and a 1x1 one to raise IndexError
+        ctx = remaining_context(is_gram_pair(I2, EXCHANGE))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sum_separation(BinaryMatrix.identity(size), ctx)
+
+
+def test_6x6_pair_non_isomorphic_not_fixable_not_separated(rank1_6x6_example):
+    """Neither isomorphic nor fixable; not sum-separated, so the paper's statement does not cover it."""
+    A, B = rank1_6x6_example
+    assert B.int64().tolist() == (A.int64() + canonical_rank1_E(2, 2, 2, 2).int64()).tolist()
+    p = is_gram_pair(A, B)
+    assert p is not None and p.diff_rank == 1
+    ctx = remaining_context(p)
+    assert (ctx.form.k1, ctx.form.k2) == (2, 2)
+    assert are_isomorphic(A, B) == NON_ISOMORPHIC
+    assert is_fixable(ctx) is False
+    assert sum_separation(A, ctx) is False and sum_separation(B, ctx) is False
+
 
 def _keeping(k, fixed):
     """Every permutation of range(k), as an array row, that maps the set fixed onto itself."""
@@ -213,20 +258,39 @@ def _brute_force(a, b, row_fixed=(), col_fixed=()):
     return bool((a[rows[:, None, :, None], cols[None, :, None, :]] == b).all(axis=(2, 3)).any())
 
 
+def _separated(a, b):
+    """sum_separation from numpy alone: the touched rows split by the sign of
+    a - b in one touched column, and the touched columns likewise."""
+    d = a - b
+    i0, j0 = np.argwhere(d)[0]
+    for sums, signs in ((a.sum(axis=1), d[:, j0]), (a.sum(axis=0), d[i0, :])):
+        rest = set(sums[signs == 0].tolist())
+        if rest & set(sums[signs > 0].tolist()) or rest & set(sums[signs < 0].tolist()):
+            return False
+    return True
+
+
 class TestBruteForce:
     """The search against every (P, Q), on every small input of a kind."""
 
     def test_gram_pairs(self):
-        seen = 0
+        seen, separated = 0, 0
         for m, n in ((3, 3), (3, 4), (4, 3)):
             for p in oracle.enumerate_gram_pairs(m, n):
                 a, b = p.A.int64(), p.B.int64()
-                assert isinstance(are_isomorphic(p.A, p.B), IsoWitness) == _brute_force(a, b)
+                isomorphic = _brute_force(a, b)
+                assert isinstance(are_isomorphic(p.A, p.B), IsoWitness) == isomorphic
                 if p.diff_rank == 1:
                     ctx = remaining_context(p)
-                    assert is_fixable(ctx) is _brute_force(a, b, ctx.alpha, ctx.beta)
+                    fixable = is_fixable(ctx)
+                    assert fixable is _brute_force(a, b, *touched(p))
+                    truth = _separated(a, b)
+                    assert sum_separation(p.A, ctx) is truth and sum_separation(p.B, ctx) is truth
+                    if truth:  # the paper: under sum separation, isomorphic iff fixable
+                        assert isomorphic == fixable
+                        separated += 1
                     seen += 1
-        assert seen > 1000
+        assert seen > 1000 and 0 < separated < seen
 
     def test_equal_sum_multisets(self):
         # every Gram pair above is isomorphic; these 3x3 pairs include non-isomorphic ones
@@ -257,13 +321,9 @@ class TestBruteForce:
                                  for i in range(5))
             a = np.block([[j, z, x1], [z, j, x2], [x3, x4, y]])
             b = np.block([[z, j, x1], [j, z, x2], [x3, x4, y]])
-            ctx = RemainingContext(
-                alpha=tuple(range(2 * k1)), beta=tuple(range(2 * k2)), k1=k1, k2=k2,
-                X1=x1.astype(np.int8), X2=x2.astype(np.int8), X3=x3.astype(np.int8),
-                X4=x4.astype(np.int8), Y=y.astype(np.int8),
-                row_perm=Permutation.identity(2 * k1 + m3),
-                col_perm=Permutation.identity(2 * k2 + n3))
-            truth = _brute_force(a, b, ctx.alpha, ctx.beta)
+            ctx = RemainingContext(BinaryMatrix(a.astype(np.int8)), Rank1Form(
+                k1, k2, Permutation.identity(2 * k1 + m3), Permutation.identity(2 * k2 + n3)))
+            truth = _brute_force(a, b, range(2 * k1), range(2 * k2))
             assert is_fixable(ctx) is truth
             verdicts.add(truth)
         assert verdicts == {True, False}

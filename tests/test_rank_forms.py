@@ -315,7 +315,9 @@ GRAM_PAIR_SHAPES = ((3, 3), (3, 4), (4, 3), (4, 4), (2, 5), (3, 5), (5, 3))
 def test_form_counts_over_gram_pair_differences():
     counts = dict.fromkeys(M_INDEX_NAMES, 0)
     for m, n in GRAM_PAIR_SHAPES:
-        for pair in enumerate_gram_pairs(m, n, diff_rank=2):
+        for pair in enumerate_gram_pairs(m, n):
+            if pair.diff_rank != 2:
+                continue
             E = pair.diff()
             form = classify_rank2(E)
             assert reconstruct_E(form) == E
