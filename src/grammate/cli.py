@@ -324,8 +324,8 @@ def cmd_enumerate(args) -> int:
     # printed from the scan's arrays: its equal Gram keys are the exact check
     stack = oracle._gram_pair_arrays(
         args.M, args.N,
-        _int_list(args.rowsums) if args.rowsums else None,
-        _int_list(args.colsums) if args.colsums else None,
+        _int_list(args.rowsums) if args.rowsums is not None else None,
+        _int_list(args.colsums) if args.colsums is not None else None,
     )
     ranks = _stack_ranks(stack[:, 0] - stack[:, 1])
     if args.rank is not None:

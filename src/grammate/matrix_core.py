@@ -19,10 +19,10 @@ makes them exact: gale_ryser.matrices_with_grams takes its candidate
 products and residual prune in float32 BLAS, as a product of two (0,1)
 rows is an integer of at most n, exact in float32 while n < 2^24, and a
 float sum of non-negative integers is zero exactly when every term is;
-oracle's enumeration scan takes its Gram keys by an int8 einsum, as an
-entry is at most max(m, n) <= 20 under its cell cap, so equal keys are
-equal Grams.  What matrices_with_grams returns has passed the int64
-identities, and so has every GramPair.
+oracle's enumeration scan takes its Gram keys by batched int8 matmuls, as
+an entry and each of its partial sums is at most max(m, n) <= 20 under its
+cell cap, so equal keys are equal Grams.  What matrices_with_grams returns
+has passed the int64 identities, and so has every GramPair.
 
 One writer, _mtxt_texts, makes the .mtxt text of a whole stack of
 matrices; serialize_matrix is its one-matrix case.

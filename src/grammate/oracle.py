@@ -8,14 +8,15 @@ is `reconstruct`'s exact search, gale_ryser.matrices_with_grams, less A.
 Enumeration scans every code of a shape and is capped at DEFAULT_CELL_CAP
 cells, so that its Gram keys fit in memory.  The scan, _gram_pair_arrays,
 is where its exact Gram check happens: two codes pair when their int8 Gram
-keys are equal, exact under the cap.  It returns arrays; GramPairs are
-built only by enumerate_gram_pairs, and `grammate enumerate` prints
-straight from the arrays.
+keys are equal, exact under the cap.  The keys are batched int8 matmuls and
+the pairs of each group are index arithmetic, so the scan makes no Python
+object per code or per pair.  It returns arrays; GramPairs are built only
+by enumerate_gram_pairs, and `grammate enumerate` prints straight from the
+arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -66,9 +67,11 @@ def _gram_pair_arrays(m: int, n: int, row_sums_filter=None, col_sums_filter=None
 
     Matrices are encoded as mn-bit integers and decoded a block at a time
     into one (N, m, n) array.  The sum filters are array masks; both Grams
-    come from one batched einsum each, and codes are grouped by their upper
-    triangles with one lexsort.  Pairs are taken within groups only.  Equal
-    keys are the exact Gram check, as int8 holds every Gram entry under the
+    come from one batched int8 matmul each, and codes are grouped by their
+    upper triangles with one lexsort.  Pairs are taken within groups only:
+    the groups of each size g get the triu_indices(g, 1) offsets at once,
+    and one lexsort puts all pairs in order.  Equal keys are the exact Gram
+    check, as int8 holds every Gram entry and every partial sum under the
     cell cap, and distinct codes are distinct matrices.
     """
     if m < 1 or n < 1:
@@ -78,7 +81,8 @@ def _gram_pair_arrays(m: int, n: int, row_sums_filter=None, col_sums_filter=None
     rfilt = tuple(row_sums_filter) if row_sums_filter is not None else None
     cfilt = tuple(col_sums_filter) if col_sums_filter is not None else None
 
-    # Gram entries are at most max(m, n) <= DEFAULT_CELL_CAP, so int8 holds them
+    # Gram entries and their partial sums are at most max(m, n) <= DEFAULT_CELL_CAP,
+    # so the int8 matmuls cannot wrap
     rows_iu, cols_iu = np.triu_indices(m), np.triu_indices(n)
     kept, keys = [], []
     for start in range(0, 1 << (m * n), _BLOCK):
@@ -90,24 +94,29 @@ def _gram_pair_arrays(m: int, n: int, row_sums_filter=None, col_sums_filter=None
         if cfilt is not None:
             mask &= _sums_match(a.sum(axis=1), cfilt)
         a = a[mask]
-        row_gram = np.einsum("kij,klj->kil", a, a)[:, rows_iu[0], rows_iu[1]]
-        col_gram = np.einsum("kji,kjl->kil", a, a)[:, cols_iu[0], cols_iu[1]]
+        t = a.transpose(0, 2, 1)
+        row_gram = (a @ t)[:, rows_iu[0], rows_iu[1]]
+        col_gram = (t @ a)[:, cols_iu[0], cols_iu[1]]
         kept.append(codes[mask])
         keys.append(np.concatenate([row_gram, col_gram], axis=1))
     codes, keys = np.concatenate(kept), np.concatenate(keys)
 
     # lexsort is stable, so the codes of each group stay ascending
     order = np.lexsort(keys.T)
-    codes, keys = codes[order].tolist(), keys[order]
+    codes, keys = codes[order], keys[order]
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    ends = np.r_[starts[1:], len(codes)]
-    shared = ends - starts > 1
-    pairs = sorted(
-        pair
-        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist())
-        for pair in itertools.combinations(codes[lo:hi], 2)
-    )
-    return _bits(np.array(pairs, dtype=np.int64).reshape(-1), m, n).reshape(len(pairs), 2, m, n)
+    sizes = np.diff(np.r_[starts, len(codes)])
+    # set() rather than np.unique, whose first call imports numpy.ma
+    firsts, seconds = [np.zeros(0, dtype=codes.dtype)], [np.zeros(0, dtype=codes.dtype)]
+    for g in sorted(set(sizes[sizes > 1].tolist())):
+        i, j = np.triu_indices(g, 1)
+        lo = starts[sizes == g][:, None]
+        firsts.append(codes[lo + i].ravel())
+        seconds.append(codes[lo + j].ravel())
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    order = np.lexsort((second, first))
+    pairs = np.stack([first[order], second[order]], axis=1)
+    return _bits(pairs.reshape(-1), m, n).reshape(len(pairs), 2, m, n)
 
 
 def enumerate_gram_pairs(

@@ -407,7 +407,8 @@ class TestEnumerate:
         assert capsys.readouterr() == ("", "error: dimensions must be positive\n")
 
     @pytest.mark.parametrize("argv", [["--rowsums", "9,9"], ["--rowsums", "1"],
-                                      ["--colsums", "1,1,1"], ["--rank", "4"]])
+                                      ["--colsums", "1,1,1"], ["--rank", "4"],
+                                      ["--rowsums", ""], ["--colsums", ""]])
     def test_no_pairs(self, capsys, argv):
         assert cli(capsys, "enumerate", "2", "2", *argv) == (0, "pairs: 0\n")
         code, out = cli(capsys, "enumerate", "2", "2", *argv, "--json")

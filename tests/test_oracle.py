@@ -147,6 +147,38 @@ class TestEnumerateGramPairs:
         assert len(enumerate_gram_pairs(2, 2, row_sums_filter=(1, 1))) == 1
 
 
+class TestGramPairScan:
+    # above SMALL_SHAPES' 12 cells; 1xk is left out, as its reference keys
+    # hold a k x k Gram per code
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (5, 3), (2, 7), (7, 2), (2, 8), (8, 2)])
+    def test_matches_numpy_reference_above_12_cells(self, m, n):
+        mats = _all_matrices(m, n)
+        ref = sorted(pair for codes in _gram_groups(mats) for pair in itertools.combinations(codes, 2))
+        stack = oracle._gram_pair_arrays(m, n)
+        assert stack.dtype == np.int8 and len(stack) == len(ref) > 0
+        assert stack.tolist() == mats[np.array(ref)].tolist()
+
+    def test_sum_filters_across_blocks(self):
+        # 4x5 decodes its 2^20 codes in 16 blocks
+        stack = oracle._gram_pair_arrays(4, 5)
+        rows, cols = stack[:, 0].sum(axis=2), stack[:, 0].sum(axis=1)
+        a, b = stack[len(stack) // 2, 0], stack[len(stack) // 3, 0]
+        for rfilt, cfilt in [(a.sum(axis=1), a.sum(axis=0)), (None, b.sum(axis=0))]:
+            keep = (cols == cfilt).all(axis=1)
+            if rfilt is not None:
+                keep &= (rows == rfilt).all(axis=1)
+            codes = stack[keep, 0].reshape(-1, 20) @ (1 << np.arange(20))
+            assert len(set((codes // oracle._BLOCK).tolist())) > 1
+            got = oracle._gram_pair_arrays(4, 5, rfilt, cfilt)
+            assert got.dtype == np.int8 and got.tobytes() == stack[keep].tobytes()
+
+    @pytest.mark.parametrize("rfilt,cfilt", [((2, 2, 2, 2, 2), None), (None, (2, 2, 2, 2)),
+                                             ((2, 2, 2, 2), (2, 2, 2, 2, 2, 0))])
+    def test_wrong_length_filter_is_an_empty_stack(self, rfilt, cfilt):
+        got = oracle._gram_pair_arrays(4, 5, rfilt, cfilt)
+        assert got.dtype == np.int8 and got.shape == (0, 2, 4, 5)
+
+
 class TestStackedDifferenceRanks:
     # every shape under the cell cap; 5x4's pairs are 4x5's transposed
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)
