@@ -51,7 +51,8 @@ _BLOCK = 1 << 16  # codes decoded per numpy pass; bounds the scan's temporaries
 
 def _bits(codes: np.ndarray, m: int, n: int) -> np.ndarray:
     """The m x n (0,1) matrices of the codes; bit t is flat position t."""
-    return ((codes[:, None] >> np.arange(m * n)) & 1).astype(np.int8).reshape(-1, m, n)
+    octets = codes.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=m * n, bitorder="little").view(np.int8).reshape(-1, m, n)
 
 
 def _sums_match(sums: np.ndarray, want: tuple) -> np.ndarray:
@@ -88,16 +89,16 @@ def _gram_pair_arrays(m: int, n: int, row_sums_filter=None, col_sums_filter=None
     for start in range(0, 1 << (m * n), _BLOCK):
         codes = np.arange(start, min(start + _BLOCK, 1 << (m * n)))
         a = _bits(codes, m, n)
-        mask = np.ones(len(codes), dtype=bool)
         if rfilt is not None:
-            mask &= _sums_match(a.sum(axis=2), rfilt)
+            keep = _sums_match(a.sum(axis=2), rfilt)
+            a, codes = a[keep], codes[keep]
         if cfilt is not None:
-            mask &= _sums_match(a.sum(axis=1), cfilt)
-        a = a[mask]
+            keep = _sums_match(a.sum(axis=1), cfilt)
+            a, codes = a[keep], codes[keep]
         t = a.transpose(0, 2, 1)
         row_gram = (a @ t)[:, rows_iu[0], rows_iu[1]]
         col_gram = (t @ a)[:, cols_iu[0], cols_iu[1]]
-        kept.append(codes[mask])
+        kept.append(codes)
         keys.append(np.concatenate([row_gram, col_gram], axis=1))
     codes, keys = np.concatenate(kept), np.concatenate(keys)
 

@@ -159,8 +159,15 @@ class TestGramPairScan:
         assert stack.tolist() == mats[np.array(ref)].tolist()
 
     def test_sum_filters_across_blocks(self):
-        # 4x5 decodes its 2^20 codes in 16 blocks
-        stack = oracle._gram_pair_arrays(4, 5)
+        # 4x5 decodes its 2^20 codes in 16 blocks; the unfiltered scan peaks
+        # at about 85 MiB (177 MiB with per-pair tuples and int64 decoding)
+        tracemalloc.start()
+        try:
+            stack = oracle._gram_pair_arrays(4, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 << 20
         rows, cols = stack[:, 0].sum(axis=2), stack[:, 0].sum(axis=1)
         a, b = stack[len(stack) // 2, 0], stack[len(stack) // 3, 0]
         for rfilt, cfilt in [(a.sum(axis=1), a.sum(axis=0)), (None, b.sum(axis=0))]:
