@@ -160,7 +160,7 @@ class TestGramPairScan:
 
     def test_sum_filters_across_blocks(self):
         # 4x5 decodes its 2^20 codes in 16 blocks; the unfiltered scan peaks
-        # at about 85 MiB (177 MiB with per-pair tuples and int64 decoding)
+        # at about 85 MiB
         tracemalloc.start()
         try:
             stack = oracle._gram_pair_arrays(4, 5)
