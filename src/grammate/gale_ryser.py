@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .matrix_core import BinaryMatrix
+from .matrix_core import BinaryMatrix, _gram_dtype
 
 
 class InfeasibleError(ValueError):
@@ -102,17 +102,17 @@ class OracleCapError(RuntimeError):
 
 
 def _rows_with_sum(n: int, s: int) -> np.ndarray:
-    """The (0,1) rows of length n with s ones, as the columns of a float32
-    (n, K) array."""
+    """The (0,1) rows of length n with s ones, as the columns of an (n, K)
+    array of matrix_core._gram_dtype(n)."""
     ones = list(itertools.combinations(range(n), s))
-    rows = np.zeros((n, len(ones)), dtype=np.float32)
+    rows = np.zeros((n, len(ones)), dtype=_gram_dtype(n))
     rows[np.array(ones, dtype=np.intp).ravel(), np.repeat(np.arange(len(ones)), s)] = 1
     return rows
 
 
 def _unflagged(flags: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(F, K) mask of x_k^T flags_f x_k == 0 for (0,1) flags (F, n, n) and
-    (0,1) columns x_k of x (n, K).  Exact in float32: a float sum of
+    (0,1) columns x_k of x (n, K).  Exact in any float type: a float sum of
     non-negative integers is zero exactly when every term is."""
     n, k = x.shape
     w = (flags.reshape(-1, n) @ x).reshape(len(flags), n, k)
@@ -207,7 +207,7 @@ def matrices_with_grams(G_row, G_col, node_cap: int) -> list[BinaryMatrix]:
         d = np.diagonal(r, axis1=1, axis2=2)
         ok = _unflagged(d[:, :, None] + d[:, None, :] - r == m - i, gaps)
         ok &= _unflagged(r == 0, cands)
-        # products of 0/1 rows are integers of at most n, exact in float32
+        # products of (0,1) rows of length n: exact by matrix_core._gram's bound
         prod = (placed @ cands).reshape(len(f), i, k)
         ok &= (prod == gr[i, :i, None]).all(axis=1)
         fi, ki = np.nonzero(ok)

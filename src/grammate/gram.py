@@ -2,13 +2,15 @@
 The Gram-mate relation and its convertibility theory.
 
 A Gram pair is a pair of distinct (0,1) matrices A, B with AA^T = BB^T and
-A^T A = B^T B, verified in exact integer arithmetic.  Convertibility (B
-arises from A by flipping signs of positive singular values) is decided by
-seven equivalent conditions, all decided exactly in integers; the three
-singular-vector ones are read through exact bases of the difference's row
-and column spaces, so no condition reads a tolerance.  A convertible pair's
-Gram singular data is reported from LAPACK's SVD of (A-B)/2 through numpy;
-with BLAS on one thread identical inputs give bitwise-identical output.
+A^T A = B^T B, verified by exact BLAS products under the one bound stated
+in matrix_core._gram; A and B must be BinaryMatrix values, or the checks
+raise ValueError.  Convertibility (B arises from A by flipping signs of
+positive singular values) is decided by seven equivalent conditions, all
+decided exactly in int64 products; the three singular-vector ones are read
+through exact bases of the difference's row and column spaces, so no
+condition reads a tolerance.  A convertible pair's Gram singular data is
+reported from LAPACK's SVD of (A-B)/2 through numpy; with BLAS on one
+thread identical inputs give bitwise-identical output.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .matrix_core import (
     BinaryMatrix,
     SignedMatrix,
+    _gram,
     _int8_within,
     _pivots,
     col_sums,
@@ -45,6 +48,7 @@ class GramPair:
     diff_rank: int
 
     def __post_init__(self):
+        _check_binary(self.A, self.B)
         a, b = self.A.data, self.B.data
         if a.shape != b.shape:
             raise ValueError("dimension mismatch")
@@ -74,15 +78,25 @@ class ConvertibilityReport:
     gram_singular: GramSingularReport | None
 
 
+def _check_binary(*mats) -> None:
+    """ValueError unless every matrix is a BinaryMatrix: the Gram checks
+    hold only for (0,1) data, and a SignedMatrix is not."""
+    for M in mats:
+        if not isinstance(M, BinaryMatrix):
+            raise ValueError(f"expected a BinaryMatrix, not {type(M).__name__}")
+
+
 def _same_grams(a: np.ndarray, b: np.ndarray) -> bool:
-    """AA^T = BB^T and A^T A = B^T B for int8 arrays of one shape, exactly:
-    the products are taken in int64 and compared byte for byte."""
-    a, b = a.astype(np.int64), b.astype(np.int64)
-    return (a @ a.T).tobytes() == (b @ b.T).tobytes() and (a.T @ a).tobytes() == (b.T @ b).tobytes()
+    """AA^T = BB^T and A^T A = B^T B for (0,1) int8 arrays of one shape,
+    exactly: the products are matrix_core._gram's exact BLAS products, and
+    as (0,1) operands give no -0.0 they are compared byte for byte."""
+    return _gram(a).tobytes() == _gram(b).tobytes() and _gram(a.T).tobytes() == _gram(b.T).tobytes()
 
 
 def is_gram_pair(A: BinaryMatrix, B: BinaryMatrix):
-    """GramPair when the Gram identities hold exactly and A != B, else None."""
+    """GramPair when the Gram identities hold exactly and A != B, else None;
+    ValueError unless A and B are BinaryMatrix values of one shape."""
+    _check_binary(A, B)
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
     a, b = A.data, B.data
@@ -92,13 +106,15 @@ def is_gram_pair(A: BinaryMatrix, B: BinaryMatrix):
 
 
 def is_realizable_witness(E: SignedMatrix, A: BinaryMatrix) -> bool:
-    """True iff (A, A+E) is a Gram pair; ValueError when A+E is not (0,1).
+    """True iff (A, A+E) is a Gram pair; ValueError when A is not a
+    BinaryMatrix or A+E is not (0,1).
 
     Decided from the int8 entries: A+E must be (0,1), E nonzero, and the
     two Gram identities of A and A+E must hold exactly.  It checks the
     identities directly and builds no matrix for A+E, no GramPair and no
     rank.
     """
+    _check_binary(A)
     if E.shape != A.shape:
         raise ValueError("dimension mismatch")
     b = A.data + E.data  # int8: the entries stay in -1..2

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gram import GramPair
-from .matrix_core import BinaryMatrix, Permutation, apply_perms, rank_exact
+from .matrix_core import BinaryMatrix, Permutation, _gram, apply_perms, rank_exact
 from .rank_forms import Rank1Form, classify_rank1
 
 DEFAULT_NODE_CAP = 10**7
@@ -135,6 +135,12 @@ def _refine(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray):
     return rows, cols
 
 
+def _fingerprints(g: np.ndarray, row_colour) -> list[tuple]:
+    """(colour, Gram diagonal, sorted Gram row) of each row, from the int64
+    Gram matrix g, with one numpy sort of all its rows."""
+    return list(zip(row_colour, g.diagonal().tolist(), map(tuple, np.sort(g, axis=1).tolist())))
+
+
 def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_colour=None):
     """A complete search for B = PAQ with P and Q preserving the given colours.
 
@@ -164,12 +170,10 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
     m, n = a.shape
     row_colour = row_colour or (0,) * m
     col_colour = col_colour or (0,) * n
-    ga, gb = (a @ a.T).tolist(), (b @ b.T).tolist()
-
-    def fingerprints(g):
-        return [(row_colour[i], g[i][i], tuple(sorted(g[i]))) for i in range(m)]
-
-    fa, fb = fingerprints(ga), fingerprints(gb)
+    # as int64, so that the fingerprints and Gram rows hold Python ints
+    ga, gb = _gram(a).astype(np.int64), _gram(b).astype(np.int64)
+    fa, fb = _fingerprints(ga, row_colour), _fingerprints(gb, row_colour)
+    ga, gb = ga.tolist(), gb.tolist()
     if sorted(fa) != sorted(fb):
         return NON_ISOMORPHIC
     ids = {f: k for k, f in enumerate(set(fa))}

@@ -10,19 +10,20 @@ floats).  Entries are then stored as int8 numpy arrays.  Matrices are
 immutable values.
 
 Every product the package decides with is exact, though not all are taken
-in int64.  The Gram identities (gram._same_grams) and the searches' leaf
-checks are int64 products; rank_exact runs in int64 while its minors fit
-and in Python integers after.  _stack_ranks runs the same elimination on a
-whole (N, m, n) stack in int64 only, so it refuses min(m, n) > 15, where
-the minors could pass 2^63.  Two searches use narrower types where a bound
-makes them exact: gale_ryser.matrices_with_grams takes its candidate
-products and residual prune in float32 BLAS, as a product of two (0,1)
-rows is an integer of at most n, exact in float32 while n < 2^24, and a
-float sum of non-negative integers is zero exactly when every term is;
-oracle's enumeration scan takes its Gram keys by batched int8 matmuls, as
-an entry and each of its partial sums is at most max(m, n) <= 20 under its
-cell cap, so equal keys are equal Grams.  What matrices_with_grams returns
-has passed the int64 identities, and so has every GramPair.
+in int64.  The Gram products of (0,1) arrays are BLAS products through one
+helper, _gram, whose docstring states the one bound that makes them exact:
+the Gram identities (gram._same_grams), iso's Gram rows and fingerprints,
+enumerate_mates_of's Grams, and gale_ryser.matrices_with_grams' candidate
+products, which take _gram_dtype's type.  gram.convertibility's products on
+{-1,0,1,2} data and matrices_with_grams' stacked leaf check and residuals
+are int64.  rank_exact runs in int64 while its minors fit and in Python
+integers after.  _stack_ranks runs the same elimination on a whole
+(N, m, n) stack in int64 only, so it refuses min(m, n) > 15, where the
+minors could pass 2^63.  oracle's enumeration scan takes its Gram keys by
+batched int8 matmuls, as an entry and each of its partial sums is at most
+max(m, n) <= 20 under its cell cap, so equal keys are equal Grams.  What
+matrices_with_grams returns has passed the int64 identities, and every
+GramPair has passed _gram's.
 
 One writer, _mtxt_texts, makes the .mtxt text of a whole stack of
 matrices; serialize_matrix is its one-matrix case.
@@ -209,6 +210,29 @@ def row_sums(M) -> tuple[int, ...]:
 
 def col_sums(M) -> tuple[int, ...]:
     return tuple(M.data.sum(axis=0, dtype=np.int64).tolist())
+
+
+def _gram_dtype(k: int):
+    """The float type in which _gram's bound makes its products with inner
+    dimension k exact."""
+    return np.float32 if k <= 1 << 24 else np.float64
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a @ a.T for a (0,1) array a of shape (m, k), exactly, through BLAS;
+    the column Gram a.T @ a is _gram(a.T).
+
+    The one bound of the package's float Gram products: every entry of the
+    product, and every partial sum BLAS forms for it in whatever order, is
+    an integer from 0 to the inner dimension k.  Such integers are exact in
+    float32 while k <= 2^24 and in float64 while k <= 2^53, which every
+    array that fits in memory meets, so the result is exact and summation
+    order cannot change it.  _gram_dtype picks the type from k alone.  The
+    products of (0,1) entries are +0.0 or 1.0 and their sums are never
+    -0.0, so equal Grams are equal bytes.
+    """
+    f = a.astype(_gram_dtype(a.shape[1]))
+    return f @ f.T
 
 
 # Bareiss step k forms piv*a - a[:, c]*a[r] from k-minors of a {-1,0,1}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gale_ryser import DEFAULT_MATE_NODE_CAP, OracleCapError, matrices_with_grams
 from .gram import GramPair, convertibility, is_gram_pair
-from .matrix_core import BinaryMatrix, col_sums, row_sums, serialize_matrix
+from .matrix_core import BinaryMatrix, _gram, col_sums, row_sums, serialize_matrix
 from .rank_forms import classify_rank1, classify_rank2
 
 # The scan keeps one Gram key of m(m+1)/2 + n(n+1)/2 bytes for each of the
@@ -142,12 +142,13 @@ def enumerate_gram_pairs(
 def enumerate_mates_of(A: BinaryMatrix, node_cap: int = DEFAULT_MATE_NODE_CAP) -> list[BinaryMatrix]:
     """Every B != A with (A, B) a Gram pair: matrices_with_grams(AA^T, A^TA)
     less A, with its node accounting (one node per candidate row tried for
-    one partial matrix).  Its column-residual prune only removes partial
-    matrices, so no input costs more nodes than under the column-sum bounds
-    alone: the 7x7 rank-1 example costs 1,477 nodes instead of 48,510."""
-    a = A.int64()
+    one partial matrix).  AA^T and A^TA are matrix_core._gram's exact BLAS
+    products.  Its column-residual prune only removes partial matrices, so
+    no input costs more nodes than under the column-sum bounds alone: the
+    7x7 rank-1 example costs 1,477 nodes instead of 48,510."""
     own = A.data.tobytes()  # the search's matrices are int8 and of A's shape
-    return [B for B in matrices_with_grams(a @ a.T, a.T @ a, node_cap) if B.data.tobytes() != own]
+    return [B for B in matrices_with_grams(_gram(A.data), _gram(A.data.T), node_cap)
+            if B.data.tobytes() != own]
 
 
 def _violation(tag: str, *mats: BinaryMatrix) -> TheoremViolation:

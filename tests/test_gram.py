@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +78,36 @@ class TestIsGramPair:
         with pytest.raises(ValueError):
             is_gram_pair(I2, BinaryMatrix.ones(2, 3))
 
+    def test_signed_input_is_a_value_error(self):
+        # the Gram identities hold for these two, so only the type check can
+        # refuse them; before it, is_gram_pair failed a bare assert
+        A = SignedMatrix(np.array([[1, 0], [0, -1]]))
+        B = SignedMatrix(np.array([[0, 1], [-1, 0]]))
+        with pytest.raises(ValueError):
+            is_gram_pair(A, B)
+        with pytest.raises(ValueError):
+            GramPair(A, B, 2)
+        with pytest.raises(ValueError):
+            is_gram_pair(EXCHANGE, SignedMatrix(np.eye(2, dtype=np.int8)))
+
+    def test_signed_input_is_a_value_error_under_python_O(self):
+        # python -O strips asserts: the check must not rest on one
+        code = (
+            "import numpy as np\n"
+            "from grammate.gram import is_gram_pair\n"
+            "from grammate.matrix_core import SignedMatrix\n"
+            "try:\n"
+            "    print(is_gram_pair(SignedMatrix(np.array([[1, 0], [0, -1]])),\n"
+            "                       SignedMatrix(np.array([[0, 1], [-1, 0]]))))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        src = str(pathlib.Path(gram.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "ValueError"
+
     def test_mates_of_identity_are_permutations(self):
         # every non-identity permutation matrix is a mate of I
         for img in itertools.permutations(range(3)):
@@ -92,6 +126,12 @@ class TestRealizableWitness:
     def test_zero_matrix_never_realizable(self):
         # A + 0 = A is not distinct from A
         assert not is_realizable_witness(SignedMatrix.zeros(2, 2), EXCHANGE)
+
+    def test_signed_A_is_a_value_error(self):
+        # A + E = [[0,1],[1,0]] and -I share its Grams, yet -I is not (0,1)
+        J2 = SignedMatrix(np.ones((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError):
+            is_realizable_witness(J2, SignedMatrix(-np.eye(2, dtype=np.int8)))
 
     def test_sum_must_stay_binary(self):
         e = SignedMatrix(np.array([[1, -1], [-1, 1]]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grammate import oracle
+from grammate import iso, oracle
 from grammate.combinators import kron_pair, kron_swap
 from grammate.gram import GramPair, is_gram_pair
 from grammate.iso import (
@@ -15,6 +15,7 @@ from grammate.iso import (
     _REL_TOL,
     IsoWitness,
     RemainingContext,
+    _fingerprints,
     are_isomorphic,
     distinct_singular_values,
     is_fixable,
@@ -22,7 +23,7 @@ from grammate.iso import (
     remaining_context,
     sum_separation,
 )
-from grammate.matrix_core import BinaryMatrix, Permutation, apply_perms
+from grammate.matrix_core import BinaryMatrix, Permutation, _gram, apply_perms
 from grammate.rank_forms import Rank1Form, canonical_rank1_E
 
 EXCHANGE = BinaryMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
@@ -369,6 +370,63 @@ class TestRefinement:
         A, B, _ = rank1_example
         p = kron_swap(is_gram_pair(A, B))
         assert are_isomorphic(p.A, p.B, node_cap=60) == UNDECIDED
+
+
+def _tuple_fingerprints(g, row_colour):
+    """The per-row rule the numpy fingerprints replace: a Python sort of
+    each Gram row, from the Gram matrix as lists of ints."""
+    g = g.tolist()
+    return [(row_colour[i], g[i][i], tuple(sorted(g[i]))) for i in range(len(g))]
+
+
+class TestFingerprints:
+    """iso._fingerprints gives what the per-row tuple sort gave."""
+
+    @staticmethod
+    def _kron_pairs(rank1_example):
+        A, B, _ = rank1_example
+        p = is_gram_pair(A, B)
+        return kron_pair(p, p), kron_swap(p)
+
+    @staticmethod
+    def _agree(a, row_colour):
+        g = _gram(a).astype(np.int64)
+        assert _fingerprints(g, row_colour) == _tuple_fingerprints(g, row_colour)
+
+    def test_fixtures_and_kron_pairs(self, rank1_example, same_entries_example, rank1_6x6_example):
+        mats = [*rank1_example[:2], same_entries_example[0], *rank1_6x6_example]
+        for p in self._kron_pairs(rank1_example):
+            mats += [p.A, p.B]
+        for M in mats:
+            self._agree(M.int64(), [0] * M.rows)
+
+    def test_random_matrices_with_and_without_colours(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m, n = rng.integers(1, 12, 2)
+            a = rng.integers(0, 2, (m, n))
+            self._agree(a, [0] * m)
+            self._agree(a, rng.integers(0, 3, m).tolist())
+
+    def test_same_witnesses_as_tuple_fingerprints(self, rank1_example, monkeypatch):
+        rng = np.random.default_rng(49)
+        cases = []
+        for p in self._kron_pairs(rank1_example):
+            P, Q = (Permutation(tuple(rng.permutation(49).tolist())) for _ in range(2))
+            cases += [(p.A, p.B), (p.A, apply_perms(p.A, P, Q)), (p.B, apply_perms(p.B, P, Q))]
+
+        def verdicts():
+            out = []
+            for A, B in cases:
+                v = are_isomorphic(A, B, node_cap=1000)
+                out.append((v.P.image, v.Q.image) if isinstance(v, IsoWitness) else v)
+            return out
+
+        numpy_rule = verdicts()
+        monkeypatch.setattr(iso, "_fingerprints", _tuple_fingerprints)
+        assert verdicts() == numpy_rule
+        assert numpy_rule[0] == NON_ISOMORPHIC and isinstance(numpy_rule[3], tuple)
+        assert all(isinstance(v, tuple) for k, v in enumerate(numpy_rule) if k % 3)
 
 
 @st.composite

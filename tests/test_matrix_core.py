@@ -12,6 +12,8 @@ from grammate.matrix_core import (
     Permutation,
     SignedMatrix,
     _INT64_STEPS,
+    _gram,
+    _gram_dtype,
     _mtxt_texts,
     _parse_entries,
     _pivots,
@@ -193,6 +195,54 @@ class TestRankExact:
         for bad in (np.eye(3, dtype=int), [[1, 0], [0, 1]]):
             with pytest.raises(TypeError):
                 rank_exact(bad)
+
+
+def _gram_reference(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.int64)
+    return a @ a.T
+
+
+class TestGram:
+    """_gram's float BLAS products equal int64 products exactly."""
+
+    @pytest.mark.parametrize("shape", [(1, 300), (300, 1), (4, 4), (49, 49), (300, 300)])
+    def test_equals_int64_on_random_matrices(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for p in (0.1, 0.5, 1.0):
+            a = (rng.random(shape) < p).astype(np.int8)
+            # near-misses: a with one entry flipped
+            b = a.copy()
+            b[rng.integers(shape[0]), rng.integers(shape[1])] ^= 1
+            for x in (a, b, a.T, b.T):
+                g = _gram(x)
+                assert g.dtype == np.float32
+                assert (g == _gram_reference(x)).all()
+            for x, y in ((a, b), (a.T, b.T)):
+                same = bool((_gram_reference(x) == _gram_reference(y)).all())
+                assert (_gram(x).tobytes() == _gram(y).tobytes()) == same
+
+    def test_inner_dimension_past_2_to_the_16(self):
+        # the column Gram of a 2 x 70,000 matrix would have 4.9e9 entries, so
+        # only the row Gram is taken: its entries and partial sums pass 2^16
+        rng = np.random.default_rng(70_000)
+        for a in (np.ones((2, 70_000), dtype=np.int8),
+                  rng.integers(0, 2, (2, 70_000)).astype(np.int8)):
+            b = a.copy()
+            b[1, -1] ^= 1
+            for x in (a, b):
+                assert (_gram(x) == _gram_reference(x)).all()
+            assert _gram(a).tobytes() != _gram(b).tobytes()
+
+    def test_dtype_rule_depends_on_the_inner_dimension_alone(self):
+        # no array of these sizes is made: the rule is a function of k
+        assert _gram_dtype(1) is np.float32
+        assert _gram_dtype(2**24) is np.float32
+        assert _gram_dtype(2**24 + 1) is np.float64
+        assert _gram_dtype(2**53) is np.float64
+        # why the bound sits there: float32 holds every integer up to 2^24,
+        # but 2^24 + 1 rounds back to 2^24
+        assert np.float32(2**24 - 1) + np.float32(1) == 2**24
+        assert np.float32(2**24) + np.float32(1) == np.float32(2**24)
 
 
 def _low_rank(rng, m, n, r):
