@@ -232,7 +232,9 @@ def _gram(a: np.ndarray) -> np.ndarray:
     -0.0, so equal Grams are equal bytes.
     """
     f = a.astype(_gram_dtype(a.shape[1]))
-    return f @ f.T
+    # np.dot, not @: about 0.4 us less per call on the small matrices that
+    # most checks see, at some cost from about 50 x 50 to 300 x 300
+    return np.dot(f, f.T)
 
 
 # Bareiss step k forms piv*a - a[:, c]*a[r] from k-minors of a {-1,0,1}
