@@ -353,8 +353,8 @@ def cmd_mates_of(args) -> int:
 def cmd_reconstruct(args) -> int:
     Gr = _load_gram(args.grow)
     Gc = _load_gram(args.gcol)
-    # the cap is read per call, so a patched module constant takes effect
-    found = gale_ryser.matrices_with_grams(Gr, Gc, gale_ryser.DEFAULT_MATE_NODE_CAP)
+    # the cap is read per call, so a patched oracle constant takes effect
+    found = oracle.matrices_with_grams(Gr, Gc, oracle.DEFAULT_MATE_NODE_CAP)
     if not found:
         print("none")
         return EXIT_NO

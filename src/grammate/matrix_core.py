@@ -13,7 +13,7 @@ Every product the package decides with is exact, though not all are taken
 in int64.  The Gram products of (0,1) arrays are BLAS products through one
 helper, _gram, whose docstring states the one bound that makes them exact:
 the Gram identities (gram._same_grams), iso's Gram rows and fingerprints,
-enumerate_mates_of's Grams, and gale_ryser.matrices_with_grams' candidate
+enumerate_mates_of's Grams, and oracle.matrices_with_grams' candidate
 products, which take _gram_dtype's type.  gram.convertibility's products on
 {-1,0,1,2} data and matrices_with_grams' stacked leaf check and residuals
 are int64.  rank_exact runs in int64 while its minors fit and in Python

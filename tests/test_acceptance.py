@@ -265,7 +265,7 @@ def test_11_reconstruction_of_all_3x3_with_distinct_positive_svs():
         if any(pos[i] - pos[i + 1] <= 1e-8 * max(1.0, pos[i]) for i in range(len(pos) - 1)):
             continue
         a64 = a.astype(np.int64)
-        found = gale_ryser.matrices_with_grams(a64 @ a64.T, a64.T @ a64, gale_ryser.DEFAULT_MATE_NODE_CAP)
+        found = oracle.matrices_with_grams(a64 @ a64.T, a64.T @ a64, oracle.DEFAULT_MATE_NODE_CAP)
         assert any((m.int64() == a64).all() for m in found)
         for m in found:
             b = m.int64()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grammate import gale_ryser
+from grammate import oracle
 from grammate.cli import build_parser, run
 from grammate.matrix_core import BinaryMatrix, load_matrix, save_matrix, serialize_matrix
 from grammate.oracle import enumerate_gram_pairs
@@ -496,13 +496,13 @@ class TestReconstruct:
 
     def test_cap_is_undecided(self, capsys, tmp_path, monkeypatch):
         # the 7x7 example's Grams cost 1,477 nodes; the cap is read per call
-        monkeypatch.setattr(gale_ryser, "DEFAULT_MATE_NODE_CAP", 1476)
+        monkeypatch.setattr(oracle, "DEFAULT_MATE_NODE_CAP", 1476)
         a = load_matrix(A7).int64()
         gr = self._gram(tmp_path, "gr.mtxt", a @ a.T)
         gc = self._gram(tmp_path, "gc.mtxt", a.T @ a)
         assert cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc) == (
             4, "Gram search exceeded the node cap\n")
-        monkeypatch.setattr(gale_ryser, "DEFAULT_MATE_NODE_CAP", 1477)
+        monkeypatch.setattr(oracle, "DEFAULT_MATE_NODE_CAP", 1477)
         code, out = cli(capsys, "reconstruct", "--grow", gr, "--gcol", gc)
         assert code == 0 and out.count("7 7\n") == 2
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from grammate.gale_ryser import DEFAULT_MATE_NODE_CAP, matrices_with_grams
+from grammate.oracle import DEFAULT_MATE_NODE_CAP, matrices_with_grams
 from grammate.matrix_core import BinaryMatrix
 
 

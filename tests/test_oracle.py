@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grammate import gale_ryser, oracle
+from grammate import oracle
 from grammate.gram import is_gram_pair
 from grammate.matrix_core import BinaryMatrix, SignedMatrix, _stack_ranks, rank_exact
 from grammate.oracle import (
@@ -245,9 +245,11 @@ class TestEnumerateMatesOf:
         with pytest.raises(OracleCapError):
             enumerate_mates_of(A, node_cap=35007)
 
-    def test_cap_names_are_shared_with_the_search(self):
-        assert OracleCapError is gale_ryser.OracleCapError
-        assert oracle.DEFAULT_MATE_NODE_CAP == gale_ryser.DEFAULT_MATE_NODE_CAP
+    @pytest.mark.parametrize("a", [[[-1]], [[1, 0], [0, -1]]])
+    def test_signed_matrix_is_refused(self, a):
+        # Gram mates are (0,1) matrices, so a signed one has none to search for
+        with pytest.raises(ValueError, match="expected a BinaryMatrix, not SignedMatrix"):
+            enumerate_mates_of(SignedMatrix(a))
 
     @pytest.mark.parametrize("m,n,sample", [
         (2, 2, None), (2, 3, None), (3, 2, None), (3, 3, None), (2, 4, None), (4, 2, None),
@@ -279,14 +281,14 @@ class TestEnumerateMatesOf:
     def test_one_partial_matrix_per_chunk(self, monkeypatch):
         # a chunk bound below one level's candidates expands every partial
         # matrix on its own, so every frontier with two or more spans chunks
-        monkeypatch.setattr(gale_ryser, "_BLOCK", 1)
+        monkeypatch.setattr(oracle, "_CHUNK", 1)
         self.test_mates_are_the_gram_group(3, 3, None)
         self.test_mates_are_the_gram_group(4, 4, 40)
 
     def test_wide_frontier_stays_small(self):
         # the mates of I7 are the other 5,039 permutation matrices; the last
         # level tries 7 rows on each of 5,040 partial matrices, several chunks
-        assert 5040 * 7 * 7 > 2 * gale_ryser._BLOCK
+        assert 5040 * 7 * 7 > 2 * oracle._CHUNK
         perms = sorted(tuple(np.eye(7, dtype=int)[list(p)].ravel().tolist())
                        for p in itertools.permutations(range(7)) if p != tuple(range(7)))
         tracemalloc.start()
