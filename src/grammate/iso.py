@@ -42,14 +42,6 @@ UNDECIDED = "undecided (cap)"
 NON_ISOMORPHIC = "non-isomorphic"
 
 
-class CapExceeded(Exception):
-    pass
-
-
-class _DeadEnd(Exception):
-    """The unrefined search failed for the first time."""
-
-
 @dataclass(frozen=True)
 class RemainingContext:
     """A rank-1 pair in the canonical coordinates of its difference.
@@ -141,31 +133,98 @@ def _fingerprints(g: np.ndarray, row_colour) -> list[tuple]:
     return list(zip(row_colour, g.diagonal().tolist(), map(tuple, np.sort(g, axis=1).tolist())))
 
 
+def _close(a: np.ndarray, b: np.ndarray, rho: list[int], a_cols: list, b_cols: list):
+    """A column map for the complete row map rho, as an IsoWitness, or None:
+    column j of a, its rows moved by rho, takes an unused column of b whose
+    (colour, content) key in b_cols is (a_cols[j], that content)."""
+    t = np.empty_like(a)
+    t[rho, :] = a
+    pool: dict[tuple, list[int]] = {}
+    for j in range(len(b_cols) - 1, -1, -1):
+        pool.setdefault(b_cols[j], []).append(j)
+    gamma = []
+    for j in range(len(a_cols)):
+        js = pool.get((a_cols[j], t[:, j].tobytes()))
+        if not js:
+            return None
+        gamma.append(js.pop())
+    P = Permutation(tuple(rho))
+    Q = Permutation(tuple(gamma)).inverse()
+    # (PAQ)[P(i), j] = A[i, Q(j)]
+    if not (b[list(P.image), :] == a[:, list(Q.image)]).all():
+        raise RuntimeError("isomorphism witness does not map A to B")
+    return IsoWitness(P=P, Q=Q)
+
+
+def _place(a: np.ndarray, b: np.ndarray, ga, gb, rows, cols, left: int, to_the_end: bool):
+    """One depth-first pass of row placements: (verdict, nodes left).
+
+    rows and cols are the colours of a's and b's rows and columns.  Row i
+    of a may go to an unused row of b of its colour that agrees on the Gram
+    matrix with every row already placed, one node of those left.  One
+    candidate iterator is kept per row, so the depth is not bounded by
+    Python's recursion limit.  The verdict is an IsoWitness (a row map that
+    _close closes), UNDECIDED when no node is left, or NON_ISOMORPHIC when
+    every candidate failed; unless to_the_end, it is None at the first dead
+    end (a row with no candidate, or a row map that _close cannot close).
+    """
+    m = len(ga)
+    by_colour: dict[int, list[int]] = {}
+    for r, c in enumerate(rows[1]):
+        by_colour.setdefault(c, []).append(r)
+    cand = [by_colour[c] for c in rows[0]]
+    b_cols = [(cols[1][j], b[:, j].tobytes()) for j in range(b.shape[1])]
+    rho, used = [-1] * m, [False] * m
+    stack = [iter(cand[0])]  # stack[i]: the candidates row i has not tried
+    while stack:
+        i = len(stack) - 1
+        if rho[i] >= 0:
+            used[rho[i]], rho[i] = False, -1
+        gi = ga[i]
+        for r in stack[i]:
+            if used[r]:
+                continue
+            gr = gb[r]
+            if all(gr[rho[i2]] == gi[i2] for i2 in range(i)):
+                break
+        else:
+            if not to_the_end:
+                return None, left
+            stack.pop()
+            continue
+        left -= 1
+        if left < 0:
+            return UNDECIDED, left
+        rho[i], used[r] = r, True
+        if i + 1 < m:
+            stack.append(iter(cand[i + 1]))
+            continue
+        found = _close(a, b, rho, cols[0], b_cols)
+        if found is not None:
+            return found, left
+        if not to_the_end:
+            return None, left
+    return NON_ISOMORPHIC, left
+
+
 def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_colour=None):
-    """A complete search for B = PAQ with P and Q preserving the given colours.
+    """A complete search for B = PAQ with P and Q preserving the given colours:
+    an IsoWitness, NON_ISOMORPHIC or UNDECIDED, from at most two passes of
+    _place that share the node cap.
 
-    Rows are placed one at a time, each placement one node against the cap,
-    by a loop that keeps one candidate iterator per row, so the depth (one
-    level per row) is not bounded by Python's recursion limit.
-    A row of a may go to a row of b with the same (colour, Gram diagonal,
-    sorted Gram row) that agrees on the Gram matrix with every row already
-    placed; the Gram diagonal of a (0,1) matrix is its row sums.  A complete
-    row map is closed by matching columns on (colour, content).  Returns an
-    IsoWitness, NON_ISOMORPHIC or UNDECIDED.
-
-    At the first dead end (a row with no consistent candidate left, or a
-    complete row map that no column map closes) the rows and columns of a
-    and b are refined together (_refine) and the placement starts again
-    once, with candidates of the same refined colour; nodes of both passes
-    count against the cap.  Refined colours are isomorphism invariants, so
-    every isomorphism maps each row and column to one of its own refined
-    colour: the restriction drops no witness, the search stays complete,
-    and colour multisets that differ prove non-isomorphism.  A hash
-    collision merges two classes, which only weakens the pruning.
-    Refinement waits for a dead end because most calls never reach one:
-    of the 6,396 calls in one round of the iso-search benchmark (seed 1),
-    5,094 finish within m nodes, and refining every call raised the median
-    call from 76 to 146 us (process time).
+    Rows start coloured by (colour, Gram diagonal, sorted Gram row), which
+    mates share (the Gram diagonal of a (0,1) matrix is its row sums), and
+    fingerprint multisets that differ return NON_ISOMORPHIC.  The first pass
+    returns its verdict unless it stops at a dead end.  Then the rows and
+    columns of a and b are refined together (_refine): colour multisets
+    that differ return NON_ISOMORPHIC, and otherwise the second pass runs
+    to the end on the refined colours and returns its verdict.  Refined
+    colours are isomorphism invariants, so the restriction drops no witness
+    and the search stays complete; a hash collision merges two classes,
+    which only weakens the pruning.  Refinement waits for a dead end because
+    most calls never reach one: of the 6,396 calls in one round of the
+    iso-search benchmark (seed 1), 5,094 finish within m nodes, and refining
+    every call raised the median call from 76 to 146 us (process time).
     """
     m, n = a.shape
     row_colour = row_colour or (0,) * m
@@ -179,89 +238,14 @@ def _search(a: np.ndarray, b: np.ndarray, node_cap: int, row_colour=None, col_co
     ids = {f: k for k, f in enumerate(set(fa))}
     rows = [[ids[f] for f in fa], [ids[f] for f in fb]]
     cols = [list(col_colour), list(col_colour)]
-
-    def keyed(rows, cols):
-        """Candidate rows of b for each row of a, and b's column pool keys."""
-        by_colour: dict[int, list[int]] = {}
-        for r, c in enumerate(rows[1]):
-            by_colour.setdefault(c, []).append(r)
-        return [by_colour[c] for c in rows[0]], [(cols[1][j], b[:, j].tobytes()) for j in range(n)]
-
-    cand, b_cols = keyed(rows, cols)
-    rho = [-1] * m
-    used = [False] * m
-    left = node_cap
-    refined = False
-
-    def close():
-        """A column map for the complete row map rho, as a witness, or None."""
-        t = np.empty_like(a)
-        t[rho, :] = a
-        pool: dict[tuple, list[int]] = {}
-        for j in range(n - 1, -1, -1):
-            pool.setdefault(b_cols[j], []).append(j)
-        gamma = []
-        for j in range(n):
-            js = pool.get((cols[0][j], t[:, j].tobytes()))
-            if not js:
-                return None
-            gamma.append(js.pop())
-        P = Permutation(tuple(rho))
-        Q = Permutation(tuple(gamma)).inverse()
-        # (PAQ)[P(i), j] = A[i, Q(j)]
-        if not (b[list(P.image), :] == a[:, list(Q.image)]).all():
-            raise RuntimeError("isomorphism witness does not map A to B")
-        return IsoWitness(P=P, Q=Q)
-
-    def place():
-        """Depth-first placement of every row, one candidate iterator per row."""
-        nonlocal left
-        stack = [iter(cand[0])]  # stack[i]: the candidates row i has not tried
-        while stack:
-            i = len(stack) - 1
-            if rho[i] >= 0:
-                used[rho[i]], rho[i] = False, -1
-            gi = ga[i]
-            for r in stack[i]:
-                if used[r]:
-                    continue
-                gr = gb[r]
-                if all(gr[rho[i2]] == gi[i2] for i2 in range(i)):
-                    break
-            else:
-                if not refined:
-                    raise _DeadEnd
-                stack.pop()
-                continue
-            left -= 1
-            if left < 0:
-                raise CapExceeded
-            rho[i], used[r] = r, True
-            if i + 1 < m:
-                stack.append(iter(cand[i + 1]))
-                continue
-            found = close()
-            if found is not None:
-                return found
-            if not refined:
-                raise _DeadEnd
-        return None
-
-    try:
-        try:
-            found = place()
-        except _DeadEnd:
-            colours = _refine(a, b, np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
-            if colours is None:
-                return NON_ISOMORPHIC
-            rows, cols = (c.tolist() for c in colours)
-            cand, b_cols = keyed(rows, cols)
-            rho, used = [-1] * m, [False] * m
-            refined = True
-            found = place()
-    except CapExceeded:
-        return UNDECIDED
-    return NON_ISOMORPHIC if found is None else found
+    verdict, left = _place(a, b, ga, gb, rows, cols, node_cap, False)
+    if verdict is not None:
+        return verdict
+    colours = _refine(a, b, np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
+    if colours is None:
+        return NON_ISOMORPHIC
+    rows, cols = (c.tolist() for c in colours)
+    return _place(a, b, ga, gb, rows, cols, left, True)[0]
 
 
 def is_fixable(ctx: RemainingContext, node_cap: int = DEFAULT_NODE_CAP):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gale_ryser
 from .gram import GramSingularReport, is_realizable_witness
-from .matrix_core import BinaryMatrix, Permutation, SignedMatrix, rank_exact
+from .matrix_core import BinaryMatrix, Permutation, SignedMatrix, _inverse_image, rank_exact
 
 
 class FormMatchError(RuntimeError):
@@ -118,14 +118,6 @@ def _pad(a: np.ndarray, shape) -> np.ndarray:
 def _canonical(mtype: str, idx: dict[str, int], pad_rows: int, pad_cols: int) -> SignedMatrix:
     core = _core(mtype, idx)
     return SignedMatrix(_pad(core, (core.shape[0] + pad_rows, core.shape[1] + pad_cols)))
-
-
-def _perm_from_order(order) -> Permutation:
-    """Permutation sending original index order[pos] to position pos."""
-    image = [0] * len(order)
-    for pos, orig in enumerate(order):
-        image[orig] = pos
-    return Permutation(tuple(image))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,8 @@ def _fit(b: np.ndarray, widths):
     canon = _pad(_core(mtype, idx), b.shape)
     if not np.array_equal(b.take(row_order, 0).take(col_order, 1), canon):
         raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
-    return mtype, idx, _perm_from_order(row_order), _perm_from_order(col_order)
+    return (mtype, idx, Permutation(tuple(_inverse_image(row_order))),
+            Permutation(tuple(_inverse_image(col_order))))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +403,8 @@ class Rank2Form:
         if tuple(n for n, _ in self.indices) != M_INDEX_NAMES[self.mtype]:
             raise ValueError("index names do not match the form tag")
         idx = dict(self.indices)
+        if min(idx.values()) < 0:
+            raise ValueError(f"{self.mtype} indices must be nonnegative")
         if any(sum(x * idx[name] for name, x in rel) for rel in _ZERO_SUMS[self.mtype]):
             raise ValueError(f"{self.mtype} indices break the zero row and column sums of E")
 
@@ -420,8 +415,15 @@ class Rank2Form:
 def canonical_rank2_E(
     mtype: str, idx: dict[str, int], pad_rows: int = 0, pad_cols: int = 0
 ) -> SignedMatrix:
+    """The canonical E of a rank-2 form, with pad_rows zero rows and pad_cols
+    zero columns; idx names each index of the form once, and a zero index is
+    an empty group."""
     if mtype not in M_INDEX_NAMES:
         raise ValueError(f"unknown form tag {mtype}")
+    if idx.keys() != set(M_INDEX_NAMES[mtype]):
+        raise ValueError("index names do not match the form tag")
+    if min(idx.values()) < 0:
+        raise ValueError(f"{mtype} indices must be nonnegative")
     return _canonical(mtype, idx, pad_rows, pad_cols)
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import networkx as nx
@@ -370,6 +371,30 @@ class TestRefinement:
         A, B, _ = rank1_example
         p = kron_swap(is_gram_pair(A, B))
         assert are_isomorphic(p.A, p.B, node_cap=60) == UNDECIDED
+
+    @pytest.mark.parametrize("case, nodes, expected", [
+        ("kron_swap", 98, IsoWitness),
+        ("kron_pair", 49, NON_ISOMORPHIC),
+        ("7x7", 7, NON_ISOMORPHIC),
+        ("7x7 fixable", 7, False),
+        ("10x10 fixable", 10, True),
+    ])
+    def test_least_deciding_node_cap(self, case, nodes, expected, rank1_example, same_entries_example):
+        """Each case decides at exactly `nodes` nodes, both passes counted,
+        and is UNDECIDED at one fewer."""
+        p7 = pair7(rank1_example)
+        if case.endswith("fixable"):
+            ctx = remaining_context(p7 if case == "7x7 fixable" else pair10(same_entries_example))
+            search = functools.partial(is_fixable, ctx)
+        else:
+            p = {"kron_swap": kron_swap(p7), "kron_pair": kron_pair(p7, p7), "7x7": p7}[case]
+            search = functools.partial(are_isomorphic, p.A, p.B)
+        verdict = search(node_cap=nodes)
+        if expected is IsoWitness:
+            assert isinstance(verdict, IsoWitness) and _exact(verdict, p.A.int64(), p.B.int64())
+        else:
+            assert verdict == expected and type(verdict) is type(expected)
+        assert search(node_cap=nodes - 1) == UNDECIDED
 
 
 def _tuple_fingerprints(g, row_colour):

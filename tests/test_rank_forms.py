@@ -295,6 +295,24 @@ class TestClassifyRank2:
                 transposed=False,
             )
 
+    @pytest.mark.parametrize("indices", [
+        (("k", 1), ("l", 1), ("a", -1), ("b", -1)),
+        (("k", 2), ("l", 2), ("a", -1), ("b", 2)),
+    ])
+    def test_negative_indices_rejected(self, indices):
+        # both keep E's zero sums, so only the sign check turns them away
+        with pytest.raises(ValueError, match="nonnegative"):
+            Rank2Form("M1", indices, Permutation.identity(4), Permutation.identity(4), False)
+
+    @pytest.mark.parametrize("idx, match", [
+        (dict(k=1), "index names"),
+        (dict(k=1, l=1, e=1, f=1, g=1, h=1, x=1), "index names"),
+        (dict(k=1, l=1, e=-1, f=-1, g=1, h=1), "nonnegative"),
+    ])
+    def test_canonical_rank2_E_validates_indices(self, idx, match):
+        with pytest.raises(ValueError, match=match):
+            canonical_rank2_E("M2", idx)
+
     def test_zero_sum_relations_validated(self):
         # M2's zero row sums need e = f and g = h
         idx = dict(k=1, l=1, e=1, f=2, g=1, h=1)
