@@ -1,6 +1,8 @@
 """Decide, classify, construct, and audit Gram mates: pairs of distinct
 (0,1) matrices A, B with AA^T = BB^T and A^T A = B^T B."""
 
+from types import ModuleType as _ModuleType
+
 from .matrix_core import (
     BinaryMatrix,
     Permutation,
@@ -54,55 +56,7 @@ from .iso import (
 )
 from .oracle import enumerate_gram_pairs, enumerate_mates_of, validate_theorems
 
-__all__ = [
-    "BinaryMatrix",
-    "SignedMatrix",
-    "Permutation",
-    "row_sums",
-    "col_sums",
-    "rank_exact",
-    "apply_perms",
-    "parse_matrix",
-    "serialize_matrix",
-    "load_matrix",
-    "save_matrix",
-    "GramPair",
-    "GramSingularReport",
-    "ConvertibilityReport",
-    "is_gram_pair",
-    "is_realizable_witness",
-    "convertibility",
-    "conjugate",
-    "majorizes",
-    "exists_urs",
-    "construct_urs",
-    "spread_construction",
-    "Rank1Form",
-    "Rank2Form",
-    "canonical_rank1_E",
-    "canonical_rank2_E",
-    "classify_rank1",
-    "classify_rank2",
-    "rank1_complete",
-    "rank1_gram_data",
-    "rank2_complete",
-    "rank2_gram_data",
-    "rank2_realizable",
-    "complement_pair",
-    "direct_sum_pair",
-    "join_pair",
-    "kron_pair",
-    "kron_swap",
-    "block_swap_pair",
-    "IsoWitness",
-    "remaining_context",
-    "is_fixable",
-    "are_isomorphic",
-    "iso_distinct_sv",
-    "sum_separation",
-    "enumerate_gram_pairs",
-    "enumerate_mates_of",
-    "validate_theorems",
-]
+# the public API is every class and function the imports above bind
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -142,16 +142,9 @@ def cmd_convertible(args) -> int:
 
 
 def _classify(E):
+    """(exact rank of E, its rank-1 or rank-2 form or None)."""
     r = rank_exact(E)
-    if r == 1:
-        f = classify_rank1(E)
-        if f is not None:
-            return r, f
-    elif r == 2:
-        f = classify_rank2(E)
-        if f is not None:
-            return r, f
-    return r, None
+    return r, classify_rank1(E) if r == 1 else classify_rank2(E) if r == 2 else None
 
 
 def cmd_classify(args) -> int:
@@ -163,22 +156,16 @@ def cmd_classify(args) -> int:
         else:
             print(f"rank {r}, no canonical form")
         return EXIT_NO
-    if r == 1:
-        if args.json:
-            _emit_json({"command": "classify", "rank": 1,
-                        "indices": {"k1": form.k1, "k2": form.k2}, "realizable": True})
-        else:
-            print(f"rank 1, k1={form.k1} k2={form.k2}, realizable")
-        return EXIT_OK
-    ok = rank2_realizable(form)
+    # a rank-1 form has no tag and is always realizable
+    tag = {} if r == 1 else {"form": form.mtype}
+    ok = r == 1 or rank2_realizable(form)
     idx = form.as_dict()
     if args.json:
-        _emit_json({"command": "classify", "rank": 2, "form": form.mtype,
-                    "indices": idx, "realizable": ok})
+        _emit_json({"command": "classify", "rank": r, **tag, "indices": idx, "realizable": ok})
     else:
         pretty = " ".join(f"{n}={v}" for n, v in idx.items())
-        print(f"rank 2, {form.mtype}, {pretty}, "
-              f"{'realizable' if ok else 'not realizable'}")
+        print(", ".join([f"rank {r}", *tag.values(), pretty,
+                         "realizable" if ok else "not realizable"]))
     return EXIT_OK if ok else EXIT_NO
 
 
@@ -221,7 +208,7 @@ def cmd_gram_data(args) -> int:
         if not convertibility(pair).convertible:
             print("not convertible")
             return EXIT_NO
-    elif r == 2 and form.mtype == "M5":
+    elif form.mtype == "M5":
         raise UsageError("M5 Gram data needs --witness")
     rep = rank1_gram_data(form) if r == 1 else rank2_gram_data(form)
     if args.json:
@@ -249,41 +236,39 @@ def cmd_urs(args) -> int:
     return EXIT_OK
 
 
-_CONSTRUCT_ARITY = {
-    "complement": 2, "dirsum": 4, "join": 4, "kron": 4,
-    "kron-swap": 2, "block-swap": 2,
+# each --op: its input file count and its combinator, which block-swap
+# applies to two matrices and the others to Gram pairs of consecutive files.
+# The combinator is named, not bound, so every call reads it from
+# combinators, where a wrapper such as the benchmark's tracer may replace it.
+_CONSTRUCT = {
+    "complement": (2, "complement_pair"),
+    "dirsum": (4, "direct_sum_pair"),
+    "join": (4, "join_pair"),
+    "kron": (4, "kron_pair"),
+    "kron-swap": (2, "kron_swap"),
+    "block-swap": (2, "block_swap_pair"),
 }
 
 
 def cmd_construct(args) -> int:
     mats = [_load_binary(p) for p in args.inputs]
-    if len(mats) != _CONSTRUCT_ARITY[args.op]:
-        raise UsageError(
-            f"--op {args.op} takes {_CONSTRUCT_ARITY[args.op]} input files")
-    if args.op == "block-swap":
-        pair = combinators.block_swap_pair(mats[0], mats[1])
-    else:
-        p1 = is_gram_pair(mats[0], mats[1])
-        if p1 is None:
-            raise UsageError("first input pair is not Gram mates")
-        if args.op == "complement":
-            pair = combinators.complement_pair(p1)
-        elif args.op == "kron-swap":
-            pair = combinators.kron_swap(p1)
-        else:
-            p2 = is_gram_pair(mats[2], mats[3])
-            if p2 is None:
-                raise UsageError("second input pair is not Gram mates")
-            pair = {"dirsum": combinators.direct_sum_pair,
-                    "join": combinators.join_pair,
-                    "kron": combinators.kron_pair}[args.op](p1, p2)
+    count, name = _CONSTRUCT[args.op]
+    if len(mats) != count:
+        raise UsageError(f"--op {args.op} takes {count} input files")
+    if args.op != "block-swap":
+        pairs = []
+        for nth, A, B in zip(("first", "second"), mats[::2], mats[1::2]):
+            p = is_gram_pair(A, B)
+            if p is None:
+                raise UsageError(f"{nth} input pair is not Gram mates")
+            pairs.append(p)
+        mats = pairs
+    pair = getattr(combinators, name)(*mats)
     if args.out_prefix:
         save_matrix(pair.A, args.out_prefix + "_A.mtxt")
         save_matrix(pair.B, args.out_prefix + "_B.mtxt")
     else:
-        sys.stdout.write(serialize_matrix(pair.A))
-        print()
-        sys.stdout.write(serialize_matrix(pair.B))
+        sys.stdout.write("\n".join(_texts([pair.A, pair.B])))
     return EXIT_OK
 
 
@@ -304,7 +289,7 @@ def cmd_isomorphic(args) -> int:
     if verdict == iso.UNDECIDED:
         print(iso.UNDECIDED)
         return EXIT_UNDECIDED
-    print("non-isomorphic")
+    print(iso.NON_ISOMORPHIC)
     return EXIT_NO
 
 
@@ -408,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", required=True)
 
     p = add("construct", cmd_construct, help="combine Gram pairs into new ones")
-    p.add_argument("--op", required=True, choices=sorted(_CONSTRUCT_ARITY))
+    p.add_argument("--op", required=True, choices=sorted(_CONSTRUCT))
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out-prefix", default=None)
 

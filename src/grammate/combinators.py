@@ -51,21 +51,23 @@ def kron_pair(p1: GramPair, p2: GramPair) -> GramPair:
     """(A1 (x) A2, B1 (x) B2).
 
     This orientation is always a Gram pair: the Gram of A1 (x) A2 factors as
-    A1 A1^T (x) A2 A2^T, which matches the mate's factor by factor.
+    A1 A1^T (x) A2 A2^T, which matches the mate's factor by factor.  The
+    products always differ: if A1 != B1 at entry (i, j), block (i, j) of
+    A1 (x) A2 is A2 or 0 and that of B1 (x) B2 is 0 or B2, and no matrix of a
+    Gram pair is zero (A = 0 gives BB^T = 0, so B = 0 = A).
     """
     a = np.kron(p1.A.int64(), p2.A.int64())
     b = np.kron(p1.B.int64(), p2.B.int64())
-    if (a == b).all():
-        raise ValueError("Kronecker products coincide; no pair")
     return _verified(a, b)
 
 
 def kron_swap(p: GramPair) -> GramPair:
-    """(A (x) B, B (x) A)."""
+    """(A (x) B, B (x) A).
+
+    The products differ as kron_pair's do, with A2 = B and B2 = A.
+    """
     a = np.kron(p.A.int64(), p.B.int64())
     b = np.kron(p.B.int64(), p.A.int64())
-    if (a == b).all():
-        raise ValueError("A (x) B equals B (x) A; no pair")
     return _verified(a, b)
 
 

@@ -9,7 +9,9 @@ decides realizability, completes a form to a concrete witness A (so that
 integer invariants of the form's group matrix and group sizes (_gram_data).
 Whether a given A is a witness is gram.is_realizable_witness's question.
 
-One table, _LAYOUT, describes the six canonical forms.  Classification is
+One table, _LAYOUT, describes the six canonical forms, and Rank1Form and
+Rank2Form name theirs alike (mtype, as_dict, transposed), so every step
+after classification reads either form the same way.  Classification is
 a column-signature lookup.  The live rows of E split into sign-normalised
 patterns (one for rank 1, two or three for rank 2); each live column's
 entries across the patterns form its signature, and the set of signatures
@@ -116,6 +118,8 @@ def _pad(a: np.ndarray, shape) -> np.ndarray:
 
 
 def _canonical(mtype: str, idx: dict[str, int], pad_rows: int, pad_cols: int) -> SignedMatrix:
+    if pad_rows < 0 or pad_cols < 0:
+        raise ValueError("pad_rows and pad_cols must be nonnegative")
     core = _core(mtype, idx)
     return SignedMatrix(_pad(core, (core.shape[0] + pad_rows, core.shape[1] + pad_cols)))
 
@@ -187,9 +191,9 @@ def _zero_sum(E: SignedMatrix):
     return a
 
 
-def _fit(b: np.ndarray, widths):
-    """(mtype, indices, row_perm, col_perm) of the form that fits the
-    zero-sum matrix b with a pattern count in widths, else None.
+def _fit(b: np.ndarray, widths, transposed: bool = False):
+    """The Rank1Form or Rank2Form that fits the zero-sum matrix b with a
+    pattern count in widths, else None; transposed says that b is E^T.
 
     The permutations send b's rows and columns to their places in the
     padded canonical E, whose indices are the group sizes of the split.
@@ -211,24 +215,21 @@ def _fit(b: np.ndarray, widths):
     canon = _pad(_core(mtype, idx), b.shape)
     if not np.array_equal(b.take(row_order, 0).take(col_order, 1), canon):
         raise RuntimeError(f"{mtype} match does not map E onto its canonical form")
-    return (mtype, idx, Permutation(tuple(_inverse_image(row_order))),
-            Permutation(tuple(_inverse_image(col_order))))
+    row_perm = Permutation(tuple(_inverse_image(row_order)))
+    col_perm = Permutation(tuple(_inverse_image(col_order)))
+    if mtype == "R1":
+        return Rank1Form(idx["k1"], idx["k2"], row_perm, col_perm)
+    indices = tuple((n, idx[n]) for n in M_INDEX_NAMES[mtype])
+    return Rank2Form(mtype, indices, row_perm, col_perm, transposed)
 
 
 # ---------------------------------------------------------------------------
 # canonical coordinates: the padded E, the way back, the witness
 
 
-def _indices(form):
-    """(layout name, indices) of a rank-1 or rank-2 form."""
-    if isinstance(form, Rank1Form):
-        return "R1", {"k1": form.k1, "k2": form.k2}
-    return form.mtype, form.as_dict()
-
-
 def _canonical_of(form):
     """(layout name, indices, padded canonical E) of a rank-1 or rank-2 form."""
-    mtype, idx = _indices(form)
+    mtype, idx = form.mtype, form.as_dict()
     return mtype, idx, _pad(_core(mtype, idx), (form.row_perm.size, form.col_perm.size))
 
 
@@ -240,7 +241,7 @@ def _to_original(form, *mats):
     so mapping back gathers by the images and inverts neither permutation.
     """
     out = [M.take(form.row_perm.image, 0).take(form.col_perm.image, 1) for M in mats]
-    return [M.T for M in out] if isinstance(form, Rank2Form) and form.transposed else out
+    return [M.T for M in out] if form.transposed else out
 
 
 def _report(form, values, right, left, source: str) -> GramSingularReport:
@@ -251,7 +252,7 @@ def _report(form, values, right, left, source: str) -> GramSingularReport:
         _pad(vecs, (perm.size, vecs.shape[1])).take(perm.image, 0)
         for vecs, perm in ((right, form.col_perm), (left, form.row_perm))
     )
-    if isinstance(form, Rank2Form) and form.transposed:
+    if form.transposed:
         right, left = left, right
     return GramSingularReport(
         values=tuple(values), right_vectors=right, left_vectors=left, source=source
@@ -278,7 +279,7 @@ def _gram_data(form, source: str) -> GramSingularReport:
     vectors are u = (-E/2) v / sigma.  At a repeated value any orthonormal
     basis of the eigenspace is valid, and eigh returns one.
     """
-    mtype, idx = _indices(form)
+    mtype, idx = form.mtype, form.as_dict()
     rows, cols, _ = _LAYOUT[mtype]
     rank = 1 if mtype == "R1" else 2
     r = np.array([idx[n] for n in rows], dtype=np.int64)
@@ -344,16 +345,26 @@ def _complete(form) -> BinaryMatrix:
 # rank 1
 
 
+def _check_rank1(k1: int, k2: int) -> None:
+    if k1 <= 0 or k2 <= 0:
+        raise ValueError("k1 and k2 must be positive")
+
+
 @dataclass(frozen=True)
 class Rank1Form:
     k1: int
     k2: int
     row_perm: Permutation
     col_perm: Permutation
+    # what Rank2Form holds per form, fixed for rank 1
+    mtype = "R1"
+    transposed = False
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
+        _check_rank1(self.k1, self.k2)
+
+    def as_dict(self) -> dict[str, int]:
+        return {"k1": self.k1, "k2": self.k2}
 
     @property
     def shape(self):
@@ -361,6 +372,7 @@ class Rank1Form:
 
 
 def canonical_rank1_E(k1: int, k2: int, pad_rows: int = 0, pad_cols: int = 0) -> SignedMatrix:
+    _check_rank1(k1, k2)
     return _canonical("R1", {"k1": k1, "k2": k2}, pad_rows, pad_cols)
 
 
@@ -368,11 +380,7 @@ def classify_rank1(E: SignedMatrix):
     """Rank1Form for a rank-1 zero-sum difference matrix, else None."""
     a = _zero_sum(E)
     # a nonzero {-1,0,1} matrix has one row pattern exactly when its rank is 1
-    fit = None if a is None else _fit(a, (1,))
-    if fit is None:
-        return None
-    _, idx, row_perm, col_perm = fit
-    return Rank1Form(k1=idx["k1"], k2=idx["k2"], row_perm=row_perm, col_perm=col_perm)
+    return None if a is None else _fit(a, (1,))
 
 
 def rank1_complete(form: Rank1Form) -> BinaryMatrix:
@@ -447,11 +455,9 @@ def classify_rank2(E: SignedMatrix):
     if a is None:
         return None
     for transposed in (False, True):
-        fit = _fit(a.T if transposed else a, (2, 3))
-        if fit is not None:
-            mtype, idx, row_perm, col_perm = fit
-            indices = tuple((nm, idx[nm]) for nm in M_INDEX_NAMES[mtype])
-            return Rank2Form(mtype, indices, row_perm, col_perm, transposed)
+        form = _fit(a.T if transposed else a, (2, 3), transposed)
+        if form is not None:
+            return form
     # a match maps E onto a canonical form, which has rank 2, so the rank is
     # needed only to tell "not rank 2" from "no form" when nothing matched
     if rank_exact(E) != 2:
@@ -473,15 +479,13 @@ def rank2_realizable(form: Rank2Form) -> bool:
         return (d["e"] - d["f"]) % 2 == 0 and (d["g"] - d["h"]) % 2 == 0
     rows = (d["k"] + d["l"], d["p"] + d["q"], d["r"] + d["s"])
     cols = (d["a"] + d["b"], d["c"] + d["d"], d["e"] + d["f"])
+    # The zero sums give k-l = q-p = s-r and a-b = d-c = f-e, and x+y has
+    # the parity of x-y, so the three row sums share one parity and so do
+    # the three column sums.  The rule is: all six even, or the ratios
+    # (e+f)/(k+l), (c+d)/(p+q) and (a+b)/(r+s) equal.
     if all(t % 2 == 0 for t in rows + cols):
         return True
-    if not (all(t % 2 for t in rows) or all(t % 2 for t in cols)):
-        return False
-    # proportional ratios (e+f)/(k+l) = (c+d)/(p+q) = (a+b)/(r+s)
-    return (
-        cols[2] * rows[1] == cols[1] * rows[0]
-        and cols[1] * rows[2] == cols[0] * rows[1]
-    )
+    return cols[2] * rows[1] == cols[1] * rows[0] and cols[1] * rows[2] == cols[0] * rows[1]
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,10 @@ class TestGramData:
         save_matrix(BinaryMatrix(witness), pw)
         assert cli(capsys, "gram-data", str(pe), "--witness", str(pw)) == expected
 
+    def test_witness_of_another_shape(self, capsys, i2):
+        assert run(["gram-data", E7, "--witness", i2]) == 2
+        assert capsys.readouterr() == ("", "error: witness and E differ in shape\n")
+
     def test_not_realizable_agrees_with_classify(self, capsys, tmp_path):
         # an M4 form with a=0 whose e-f and g-h parities rule out a witness
         p = tmp_path / "E.mtxt"

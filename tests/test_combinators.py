@@ -108,6 +108,10 @@ class TestBlockSwap:
             assert np.allclose(sorted(rep.gram_singular.values), sv, atol=1e-8)
             done += 1
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="same dimensions"):
+            block_swap_pair(I2, BinaryMatrix.ones(2, 3))
+
     def test_equal_blocks_rejected(self):
         with pytest.raises(ValueError):
             block_swap_pair(I2, I2)

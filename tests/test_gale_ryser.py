@@ -121,6 +121,11 @@ class TestConstructUrs:
         with pytest.raises(InfeasibleError):
             construct_urs((2,), (1, 1, 1))
 
+    @pytest.mark.parametrize("R, S", [((1, -1), (0, 0)), ((1, 1), (3, -1))])
+    def test_negative_sum_rejected(self, R, S):
+        with pytest.raises(ValueError, match="degree vectors must be non-negative"):
+            construct_urs(R, S)
+
     def test_raises_exactly_when_empty(self):
         # the fill decides existence by itself; Gale-Ryser is the reference,
         # with sums past the shape and unequal totals included

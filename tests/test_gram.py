@@ -116,6 +116,30 @@ class TestIsGramPair:
             assert (is_gram_pair(BinaryMatrix.identity(3), P) is not None) == expected
 
 
+class TestGramPairRefuses:
+    """A GramPair built directly runs the whole check, not is_gram_pair."""
+
+    # equal row and column sums (all 2), but rows 0 and 2 of A agree where
+    # those of B are disjoint, so AA^T != BB^T
+    SAME_SUMS_A = BinaryMatrix(np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]]))
+    SAME_SUMS_B = BinaryMatrix(np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]]))
+
+    @pytest.mark.parametrize("A, B, match", [
+        (I2, BinaryMatrix.ones(2, 3), "dimension mismatch"),
+        (EXCHANGE, EXCHANGE, "A and B must be distinct"),
+        (I2, BinaryMatrix.ones(2, 2), "Gram identities fail"),
+        (SAME_SUMS_A, SAME_SUMS_B, "Gram identities fail"),
+    ], ids=["shapes", "equal", "sums", "grams"])
+    def test_refused(self, A, B, match):
+        with pytest.raises(ValueError, match=match):
+            GramPair(A, B, 1)
+
+    def test_same_sums_example_has_equal_sums(self):
+        A, B = self.SAME_SUMS_A.int64(), self.SAME_SUMS_B.int64()
+        assert (A.sum(0) == B.sum(0)).all() and (A.sum(1) == B.sum(1)).all()
+        assert (A @ A.T != B @ B.T).any()
+
+
 class TestRealizableWitness:
     def test_paper_examples(self, rank1_example, same_entries_example):
         A, _, E = rank1_example

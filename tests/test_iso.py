@@ -128,6 +128,10 @@ class TestAreIsomorphic:
         A, B, _ = rank1_example
         assert are_isomorphic(A, B) == NON_ISOMORPHIC
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            are_isomorphic(I2, BinaryMatrix.ones(2, 3))
+
     def test_same_entries_isomorphic(self, same_entries_example):
         p = pair10(same_entries_example)
         w = are_isomorphic(p.A, p.B)
@@ -182,6 +186,11 @@ class TestIsoDistinctSv:
     def test_precondition(self):
         with pytest.raises(ValueError):
             iso_distinct_sv(is_gram_pair(EXCHANGE, I2))
+
+    def test_non_square_pair_rejected(self):
+        pair = oracle.enumerate_gram_pairs(2, 3)[0]
+        with pytest.raises(ValueError, match="A must be square"):
+            iso_distinct_sv(pair)
 
     def test_agrees_with_fixable_on_generated_family(self):
         rng = np.random.default_rng(5)

@@ -126,6 +126,28 @@ class TestClassifyRank1:
         assert apply_perms(shuffled, f.row_perm, f.col_perm) == e
 
 
+class TestRank1Form:
+    def test_has_the_rank2_interface(self):
+        # the fields a Rank2Form holds per form, fixed for rank 1
+        f = classify_rank1(canonical_rank1_E(1, 2, 1, 0))
+        assert (f.mtype, f.transposed, f.as_dict()) == ("R1", False, {"k1": 1, "k2": 2})
+
+    @pytest.mark.parametrize("k1, k2", [(0, 1), (1, 0), (-1, 2)])
+    def test_nonpositive_indices_rejected(self, k1, k2):
+        with pytest.raises(ValueError, match="k1 and k2 must be positive"):
+            Rank1Form(k1, k2, Permutation.identity(2), Permutation.identity(2))
+        with pytest.raises(ValueError, match="k1 and k2 must be positive"):
+            canonical_rank1_E(k1, k2)
+
+    @pytest.mark.parametrize("pad_rows, pad_cols", [(-1, 0), (0, -1)])
+    def test_negative_pads_rejected(self, pad_rows, pad_cols):
+        match = "pad_rows and pad_cols must be nonnegative"
+        with pytest.raises(ValueError, match=match):
+            canonical_rank1_E(2, 2, pad_rows, pad_cols)
+        with pytest.raises(ValueError, match=match):
+            canonical_rank2_E("M1", {"k": 1, "l": 1, "a": 1, "b": 1}, pad_rows, pad_cols)
+
+
 class TestRank1Witness:
     def test_canonical_core_zero_borders(self):
         assert is_realizable_witness(canonical_rank1_E(1, 1), BinaryMatrix(np.array([[0, 1], [1, 0]])))
@@ -313,6 +335,12 @@ class TestClassifyRank2:
         with pytest.raises(ValueError, match=match):
             canonical_rank2_E("M2", idx)
 
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown form tag M6"):
+            Rank2Form("M6", (), Permutation.identity(2), Permutation.identity(2), False)
+        with pytest.raises(ValueError, match="unknown form tag R1"):
+            canonical_rank2_E("R1", {"k1": 1, "k2": 1})
+
     def test_zero_sum_relations_validated(self):
         # M2's zero row sums need e = f and g = h
         idx = dict(k=1, l=1, e=1, f=2, g=1, h=1)
@@ -422,6 +450,28 @@ class TestRank2Realizable:
     def test_m5_odd_proportional_type1(self):
         f = form_of("M5", k=2, l=1, p=0, q=1, r=1, s=2, a=2, b=1, c=0, d=1, e=1, f=2)
         assert rank2_realizable(f)
+
+    def test_m5_row_and_column_sums_share_a_parity(self):
+        # why rank2_realizable's M5 rule needs no mixed-parity branch: over
+        # every index tuple in 0..3 with E's zero sums, the three row sums
+        # k+l, p+q, r+s share a parity, and so do a+b, c+d, e+f
+        names = M_INDEX_NAMES["M5"]
+        rels = _ZERO_SUMS["M5"]
+
+        def meets(idx, among):
+            return all(sum(x * idx[n] for n, x in rel) == 0
+                       for rel in rels if all(n in among for n, _ in rel))
+
+        halves = [[dict(zip(part, vals)) for vals in itertools.product(range(4), repeat=6)
+                   if meets(dict(zip(part, vals)), part)]
+                  for part in (names[:6], names[6:])]
+        tuples = [{**r, **c} for r in halves[0] for c in halves[1]]
+        tuples = [idx for idx in tuples if meets(idx, names)]
+        assert len(tuples) == 18496
+        for idx in tuples:
+            rows = {(idx["k"] + idx["l"]) % 2, (idx["p"] + idx["q"]) % 2, (idx["r"] + idx["s"]) % 2}
+            cols = {(idx["a"] + idx["b"]) % 2, (idx["c"] + idx["d"]) % 2, (idx["e"] + idx["f"]) % 2}
+            assert len(rows) == len(cols) == 1, idx
 
     def test_m5_odd_not_proportional(self):
         # all pair sums odd but the ratios differ
